@@ -36,6 +36,9 @@
 //
 // With -journal, stream sessions survive a daemon crash: restart busyd
 // on the same file and clients resume with POST /v1/stream?resume=.
+// A session commits whatever arrivals have queued since its last flush
+// (up to 128) in one journal append and fsync, and acknowledges none of
+// them before that append returns; flush size needs no tuning flag.
 //
 // SIGINT/SIGTERM drain gracefully: the listener closes immediately,
 // in-flight solves get -drain-timeout to finish.
@@ -69,8 +72,6 @@ func main() {
 		maxBody      = flag.Int64("max-body-bytes", 8<<20, "max request body bytes")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown drain bound")
 		journalPath  = flag.String("journal", "", "durable stream journal file (default: in-memory, lost on exit)")
-		streamBatch  = flag.Int("stream-batch", 0, "stream micro-batch size cap (0 = default)")
-		streamWait   = flag.Duration("stream-batch-wait", 0, "stream micro-batch flush deadline (0 = greedy, flush whatever queued)")
 		reoptCache   = flag.Int("reopt-cache", 512, "reoptimization cache entries (0 = default 512, negative = disabled)")
 		maxSessions  = flag.Int("max-closed-sessions", 4096, "closed stream sessions retained by the in-memory journal (0 = unbounded; ignored with -journal)")
 		slowSolve    = flag.Duration("slow-solve", 0, "log a structured slow_solve line with a per-phase breakdown for requests at or above this duration (0 = off)")
@@ -93,20 +94,18 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Algorithm:       *algo,
-		Workers:         *workers,
-		Budget:          *budget,
-		MaxInFlight:     *maxInFlight,
-		MaxJobs:         *maxJobs,
-		MaxBatch:        *maxBatch,
-		MaxBodyBytes:    *maxBody,
-		DrainTimeout:    *drainTimeout,
-		StreamBatch:     *streamBatch,
-		StreamBatchWait: *streamWait,
-		ReoptCache:      *reoptCache,
-		SlowSolve:       *slowSolve,
-		TraceRing:       *traceRing,
-		EnablePprof:     *pprofOn,
+		Algorithm:    *algo,
+		Workers:      *workers,
+		Budget:       *budget,
+		MaxInFlight:  *maxInFlight,
+		MaxJobs:      *maxJobs,
+		MaxBatch:     *maxBatch,
+		MaxBodyBytes: *maxBody,
+		DrainTimeout: *drainTimeout,
+		ReoptCache:   *reoptCache,
+		SlowSolve:    *slowSolve,
+		TraceRing:    *traceRing,
+		EnablePprof:  *pprofOn,
 	}
 	if !*quiet {
 		// One JSON line per request / stream event. Stderr: stdout is

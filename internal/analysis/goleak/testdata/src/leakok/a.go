@@ -13,8 +13,8 @@ type S struct {
 	done chan struct{}
 }
 
-// run drains the input channel and announces exit — the worker-owns-
-// the-state shape the stream batcher uses.
+// run drains the input channel and announces exit — a worker that owns
+// its state until its input closes.
 func (s *S) run() {
 	for v := range s.in {
 		_ = v

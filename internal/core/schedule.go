@@ -120,7 +120,9 @@ func (s Schedule) Saving() int64 {
 
 // Validate checks that the schedule is well-formed and valid: machine
 // slice length matches the instance, and no machine ever runs more than g
-// jobs simultaneously (counting demands when jobs carry them).
+// jobs simultaneously (counting demands when jobs carry them). Of several
+// overloaded machines it reports the lowest-numbered, so the same
+// schedule always gives the same error.
 func (s Schedule) Validate() error {
 	if len(s.Machine) != len(s.Instance.Jobs) {
 		return fmt.Errorf("core: schedule covers %d jobs, instance has %d", len(s.Machine), len(s.Instance.Jobs))
@@ -130,7 +132,11 @@ func (s Schedule) Validate() error {
 			return fmt.Errorf("core: job position %d on invalid machine %d", i, m)
 		}
 	}
+	bad, badLoad := -1, int64(0)
 	for m, positions := range s.MachineJobs() {
+		if bad >= 0 && m > bad {
+			continue
+		}
 		ivs := make([]interval.Interval, len(positions))
 		demands := make([]int64, len(positions))
 		for k, p := range positions {
@@ -138,8 +144,11 @@ func (s Schedule) Validate() error {
 			demands[k] = s.Instance.Jobs[p].Demand
 		}
 		if load := interval.WeightedMaxConcurrency(ivs, demands); load > int64(s.Instance.G) {
-			return fmt.Errorf("core: machine %d carries load %d > g = %d", m, load, s.Instance.G)
+			bad, badLoad = m, load
 		}
+	}
+	if bad >= 0 {
+		return fmt.Errorf("core: machine %d carries load %d > g = %d", bad, badLoad, s.Instance.G)
 	}
 	return nil
 }

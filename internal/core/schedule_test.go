@@ -88,6 +88,30 @@ func TestValidateCountsDemands(t *testing.T) {
 	}
 }
 
+// TestValidateErrorIsDeterministic overloads eight machines, machine m
+// with m+2 overlapping jobs, so each would give its own error text:
+// every call must report the lowest-numbered one.
+func TestValidateErrorIsDeterministic(t *testing.T) {
+	var ivs [][2]int64
+	var machines []int
+	for m := 0; m < 8; m++ {
+		for k := 0; k < m+2; k++ {
+			ivs = append(ivs, [2]int64{int64(100 * m), int64(100*m + 10)})
+			machines = append(machines, m)
+		}
+	}
+	s := NewSchedule(job.NewInstance(1, ivs...))
+	for i, m := range machines {
+		s.Assign(i, m)
+	}
+	const want = "core: machine 0 carries load 2 > g = 1"
+	for call := 0; call < 50; call++ {
+		if err := s.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate() = %v, want %q", call, err, want)
+		}
+	}
+}
+
 func TestValidateLengthMismatch(t *testing.T) {
 	in := job.NewInstance(1, [2]int64{0, 10})
 	s := Schedule{Instance: in, Machine: []int{0, 1}}

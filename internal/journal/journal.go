@@ -322,8 +322,8 @@ var ErrSessionExists = errors.New("journal: session already exists")
 
 // Writer appends a session's records to a Store, maintaining the chain
 // tail. Events are staged in memory and persisted in one Append per
-// Commit, so a micro-batched ingest path pays one store round trip (and
-// one fsync, for the file store) per flush instead of per arrival. A
+// Commit, so a stream session pays one store round trip (and one fsync,
+// for the file store) per flush instead of per arrival. A
 // Writer is not safe for concurrent use; the serving layer drives one
 // per session.
 type Writer struct {

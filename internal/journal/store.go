@@ -200,7 +200,7 @@ func (s *FileStore) load() error {
 }
 
 // Append implements Store: one buffered write of every record, then a
-// single fsync — the amortization target of the micro-batcher.
+// single fsync, which a stream session pays once per flush.
 func (s *FileStore) Append(session string, recs []Record) error {
 	if err := checkOwnership(session, recs); err != nil {
 		return err

@@ -22,17 +22,17 @@ var latencyBounds = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// eventLatencyBounds bucket per-arrival stream event handling, which sits
+// stageLatencyBounds bucket the per-arrival stream stages, which sit
 // well under the solve-latency range: a single placement is a treap probe
 // over the open machines, not a whole instance solve.
-var eventLatencyBounds = []float64{
+var stageLatencyBounds = []float64{
 	0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.1,
 }
 
 // phaseBounds bucket the per-phase solve breakdown, which spans
 // sub-microsecond dispatch/bound spans up to multi-second placements —
-// the union of the solve- and event-latency ranges.
+// the union of the solve- and stage-latency ranges.
 var phaseBounds = []float64{
 	0.0000001, 0.000001, 0.00001, 0.0001, 0.0005, 0.001, 0.0025,
 	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
@@ -41,8 +41,8 @@ var phaseBounds = []float64{
 // batchSizeBounds bucket the number of requests per batch.
 var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
-// flushSizeBounds bucket the arrivals per stream micro-batch flush; the
-// stream batcher caps at StreamBatch (default 128).
+// flushSizeBounds bucket the arrivals per stream flush, which caps at
+// maxFlush (128).
 var flushSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // transitionBounds bucket the reoptimization transition cost — the
@@ -53,8 +53,8 @@ var transitionBounds = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 // streamStages are the per-arrival serving stages broken out in
 // /metrics: time queued before a flush, the flush wall clock (journal
-// append + fsync amortized across the batch), and the strategy's own
-// placement time.
+// append + fsync shared by the flush's arrivals), and the strategy's
+// own placement time.
 var streamStages = [...]string{"queue", "flush", "solve"}
 
 // histogram is a fixed-bucket cumulative histogram with atomic counters,
@@ -120,7 +120,7 @@ func formatBound(b float64) string {
 // rendered exposition label list (`algorithm="x"`, or
 // `algorithm="x",phase="y"`), grown lazily on first observation so
 // plugin-registered algorithms are covered without a rebuild — the same
-// pattern the per-strategy stream histograms use.
+// pattern the per-strategy stream stage histograms use.
 type histogramVec struct {
 	bounds []float64
 	scale  float64
@@ -204,16 +204,13 @@ type metrics struct {
 	batchLatency       *histogramVec // per pinned batch algorithm ("auto" unpinned)
 	phaseLatency       *histogramVec // per algorithm and solve phase, from the span tree
 	batchSize          *histogram
-	flushSize          *histogram // arrivals per stream micro-batch flush
+	flushSize          *histogram // arrivals per stream flush
 	transitionCost     *histogram // reassigned jobs per repair
 
-	// eventLatency holds one stream-event latency histogram per online
+	// stageLatency holds the queue/flush/solve histograms per online
 	// strategy, keyed by canonical name and grown lazily on first use so
 	// plugin-registered strategies are covered without a rebuild.
-	// stageLatency is its per-stage sibling: queue/flush/solve broken
-	// out per strategy.
-	eventMu      sync.RWMutex
-	eventLatency map[string]*histogram
+	stageMu      sync.RWMutex
 	stageLatency map[string]*[len(streamStages)]*histogram
 }
 
@@ -225,7 +222,6 @@ func newMetrics() *metrics {
 		batchSize:      newHistogram(batchSizeBounds, 1),
 		flushSize:      newHistogram(flushSizeBounds, 1),
 		transitionCost: newHistogram(transitionBounds, 1),
-		eventLatency:   map[string]*histogram{},
 		stageLatency:   map[string]*[len(streamStages)]*histogram{},
 	}
 }
@@ -259,46 +255,29 @@ func (m *metrics) observePhases(algorithm string, node *trace.Node) {
 	}
 }
 
-// observeStreamEvent records one arrival's handling latency under its
-// strategy's histogram.
-func (m *metrics) observeStreamEvent(strategy string, d time.Duration) {
-	m.eventMu.RLock()
-	h := m.eventLatency[strategy]
-	m.eventMu.RUnlock()
-	if h == nil {
-		m.eventMu.Lock()
-		if h = m.eventLatency[strategy]; h == nil {
-			h = newHistogram(eventLatencyBounds, 1e9)
-			m.eventLatency[strategy] = h
-		}
-		m.eventMu.Unlock()
-	}
-	h.observe(d.Seconds(), d.Nanoseconds())
-}
-
 // observeStreamStages records one arrival's per-stage serving timings
-// under its strategy's stage histograms.
-func (m *metrics) observeStreamStages(strategy string, queueNS, flushNS, solveNS int64) {
-	m.eventMu.RLock()
+// (nanoseconds, streamStages order) under its strategy's histograms.
+func (m *metrics) observeStreamStages(strategy string, stageNS [len(streamStages)]int64) {
+	m.stageMu.RLock()
 	hs := m.stageLatency[strategy]
-	m.eventMu.RUnlock()
+	m.stageMu.RUnlock()
 	if hs == nil {
-		m.eventMu.Lock()
+		m.stageMu.Lock()
 		if hs = m.stageLatency[strategy]; hs == nil {
 			hs = new([len(streamStages)]*histogram)
 			for i := range hs {
-				hs[i] = newHistogram(eventLatencyBounds, 1e9)
+				hs[i] = newHistogram(stageLatencyBounds, 1e9)
 			}
 			m.stageLatency[strategy] = hs
 		}
-		m.eventMu.Unlock()
+		m.stageMu.Unlock()
 	}
-	for i, ns := range [...]int64{queueNS, flushNS, solveNS} {
+	for i, ns := range stageNS {
 		hs[i].observe(float64(ns)/1e9, ns)
 	}
 }
 
-// observeFlushSize records one micro-batch flush's arrival count.
+// observeFlushSize records one stream flush's arrival count.
 func (m *metrics) observeFlushSize(size int) {
 	m.flushSize.observe(float64(size), int64(size))
 }
@@ -375,7 +354,7 @@ func (m *metrics) writeTo(w io.Writer) {
 	fmt.Fprintf(w, "# HELP busyd_batch_size Requests per batch.\n")
 	fmt.Fprintf(w, "# TYPE busyd_batch_size histogram\n")
 	m.batchSize.writeTo(w, "busyd_batch_size", "")
-	fmt.Fprintf(w, "# HELP busyd_stream_flush_size Arrivals per stream micro-batch flush.\n")
+	fmt.Fprintf(w, "# HELP busyd_stream_flush_size Arrivals per stream flush.\n")
 	fmt.Fprintf(w, "# TYPE busyd_stream_flush_size histogram\n")
 	m.flushSize.writeTo(w, "busyd_stream_flush_size", "")
 	fmt.Fprintf(w, "# HELP busyd_reopt_transition_jobs Carried-over jobs reassigned per repair.\n")
@@ -383,38 +362,22 @@ func (m *metrics) writeTo(w io.Writer) {
 	m.transitionCost.writeTo(w, "busyd_reopt_transition_jobs", "")
 
 	// Snapshot the per-strategy histogram pointers before rendering:
-	// writing to w can block on a slow scraper, and holding eventMu
-	// through that would let a queued writer in observeStreamEvent stall
+	// writing to w can block on a slow scraper, and holding stageMu
+	// through that would let a queued writer in observeStreamStages stall
 	// every stream session's per-arrival hot path behind the scrape. The
 	// histograms themselves are atomic and never removed, so rendering
 	// outside the lock is safe.
-	type namedHistogram struct {
-		name string
-		h    *histogram
-	}
-	m.eventMu.RLock()
-	strategies := make([]namedHistogram, 0, len(m.eventLatency))
-	for name, h := range m.eventLatency {
-		strategies = append(strategies, namedHistogram{name, h})
-	}
 	type namedStages struct {
 		name string
 		hs   *[len(streamStages)]*histogram
 	}
+	m.stageMu.RLock()
 	staged := make([]namedStages, 0, len(m.stageLatency))
 	for name, hs := range m.stageLatency {
 		staged = append(staged, namedStages{name, hs})
 	}
-	m.eventMu.RUnlock()
-	sort.Slice(strategies, func(i, j int) bool { return strategies[i].name < strategies[j].name })
+	m.stageMu.RUnlock()
 	sort.Slice(staged, func(i, j int) bool { return staged[i].name < staged[j].name })
-	if len(strategies) > 0 {
-		fmt.Fprintf(w, "# HELP busyd_stream_event_latency_seconds Per-arrival stream event handling, by strategy.\n")
-		fmt.Fprintf(w, "# TYPE busyd_stream_event_latency_seconds histogram\n")
-		for _, s := range strategies {
-			s.h.writeTo(w, "busyd_stream_event_latency_seconds", fmt.Sprintf("strategy=%q", s.name))
-		}
-	}
 	if len(staged) > 0 {
 		fmt.Fprintf(w, "# HELP busyd_stream_stage_latency_seconds Per-arrival serving stages (queue wait, flush, solve), by strategy.\n")
 		fmt.Fprintf(w, "# TYPE busyd_stream_stage_latency_seconds histogram\n")

@@ -122,8 +122,9 @@ func TestMetricsHistogramExposition(t *testing.T) {
 		{Name: "bound", DurationNS: 5e5},
 	}})
 	for i := 0; i < 5; i++ {
-		m.observeStreamEvent("online-bestfit", time.Duration(i+1)*time.Microsecond)
-		m.observeStreamEvent("online-budget", time.Second)
+		us := int64(i+1) * int64(time.Microsecond)
+		m.observeStreamStages("online-bestfit", [len(streamStages)]int64{us, 2 * us, us / 2})
+		m.observeStreamStages("online-budget", [len(streamStages)]int64{int64(time.Second), 0, int64(time.Millisecond)})
 	}
 
 	var buf bytes.Buffer
@@ -137,8 +138,10 @@ func TestMetricsHistogramExposition(t *testing.T) {
 	for _, phase := range []string{"dispatch", "placement", "bound"} {
 		checkHistogram(t, samples, "busyd_solve_phase_seconds", `algorithm="greedy-tracking",phase="`+phase+`"`)
 	}
-	checkHistogram(t, samples, "busyd_stream_event_latency_seconds", `strategy="online-bestfit"`)
-	checkHistogram(t, samples, "busyd_stream_event_latency_seconds", `strategy="online-budget"`)
+	for _, stage := range streamStages {
+		checkHistogram(t, samples, "busyd_stream_stage_latency_seconds", `strategy="online-bestfit",stage="`+stage+`"`)
+		checkHistogram(t, samples, "busyd_stream_stage_latency_seconds", `strategy="online-budget",stage="`+stage+`"`)
+	}
 	checkHistogramMonotone(t, text)
 
 	if got := samples[`busyd_solve_latency_seconds_count{algorithm="greedy-tracking"}`]; got != float64(len(durations)) {

@@ -46,14 +46,6 @@ type Config struct {
 	// nil selects an in-memory store (sessions survive disconnects for
 	// the life of the process, not across restarts).
 	Journal journal.Store
-	// StreamBatch caps the arrivals per micro-batch flush on the stream
-	// ingest path (default 128).
-	StreamBatch int
-	// StreamBatchWait bounds how long a non-full micro-batch waits for
-	// more arrivals before flushing. <= 0 (the default) never waits:
-	// each flush takes whatever has queued since the last one, so batch
-	// size adapts to the arrival rate with no added latency.
-	StreamBatchWait time.Duration
 	// ReoptCache sizes the default solver's instance-fingerprint cache
 	// for warm-started reoptimization (0 = the default 512 entries,
 	// negative = disabled). Per-batch pinned solvers never cache: their
@@ -101,9 +93,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
-	}
-	if cfg.StreamBatch <= 0 {
-		cfg.StreamBatch = 128
 	}
 	if cfg.TraceRing <= 0 {
 		cfg.TraceRing = 128

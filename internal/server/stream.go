@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/igraph"
+	"repro/internal/job"
 	"repro/internal/journal"
 	"repro/internal/online"
 	"repro/internal/registry"
@@ -20,11 +22,11 @@ import (
 )
 
 // handleStream serves POST /v1/stream: a full-duplex NDJSON session that
-// feeds arrival events through the micro-batched ingest stage into a
-// per-session online strategy, journals every placement durably before
-// acknowledging it, and emits one placement event per arrival with live
-// telemetry plus per-stage serving timings, then a final close report
-// carrying the journal chain's certificate hash.
+// feeds arrivals, one flush at a time, into a per-session online
+// strategy, journals every placement durably before acknowledging it,
+// and emits one placement event per arrival with live telemetry plus
+// per-stage serving timings, then a final close report carrying the
+// journal chain's certificate hash.
 //
 // Protocol (one JSON value per line, both directions):
 //
@@ -135,14 +137,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	// The session root span opens once the setup paths have committed;
 	// earlier failures are plain HTTP errors and never reach the ring.
-	// The trace context is not threaded into the batcher — per-arrival
-	// stage timings are aggregated by StageStats and grafted onto the
+	// The trace context is not threaded into the session loop: it sums
+	// the per-arrival stage timings, and the sums are grafted onto the
 	// root as synthesized nodes at close.
 	_, root, echo := s.startTrace(r, "stream")
 	defer root.End()
 	root.SetAttr("session", session)
 	root.SetAttr("strategy", alg)
-	stats := &online.StageStats{}
 
 	// HTTP/1.x is half-duplex by default: the server closes the request
 	// body once the handler starts writing. A stream session reads
@@ -153,6 +154,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Traceparent", trace.Traceparent(root.TraceID(), root.SpanID()))
+	// A session can end with arrivals still unread; the connection ends
+	// with it, or net/http would parse them as the next request.
+	w.Header().Set("Connection", "close")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
@@ -182,112 +186,128 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// The batcher worker owns the session and journal writer from here
-	// until wait() returns. The reader goroutine decodes and submits
-	// arrivals; this goroutine collects responses in arrival order and
-	// emits them — decode, solve+journal, and emit pipeline across three
-	// goroutines while per-arrival ordering is preserved.
-	b := newBatcher(sess, jw, s.cfg.StreamBatch, s.cfg.StreamBatchWait, s.observeFlush(alg, stats))
-	type pending struct {
-		resp    <-chan batchResult
-		err     error // terminal reader-side failure; decode marks decoder errors
-		decode  bool
-		arrival int
-	}
-	queue := make(chan pending, cap(b.in))
+	// The reader goroutine exists only because a blocked Decode is the
+	// one way to learn that an arrival is ready. A buffer of one flush
+	// lets it decode the next flush while the handler commits this one.
+	items := make(chan streamItem, maxFlush)
 	done := make(chan struct{})
-	go func() {
-		defer b.close()
-		push := func(p pending) bool {
-			select {
-			case queue <- p:
-				return true
-			case <-done:
-				return false
-			}
+	go s.readArrivals(r.Context(), dec, sess.Arrivals(), items, done)
+	// On every exit the handler stops the reader and drains items until
+	// it has returned: net/http must not touch the body while the reader
+	// is still inside it. A client still sending completes the Read in
+	// flight at once; an idle one is cut off by the read deadline. The
+	// deadline is not immediate because a Read it interrupts poisons the
+	// body, and net/http then closes without draining what the client is
+	// still sending: the client would get a reset instead of its last
+	// events.
+	defer func() {
+		close(done)
+		_ = rc.SetReadDeadline(time.Now().Add(readerGrace))
+		for range items {
 		}
-		arrivals := sess.Arrivals() // journaled arrivals count toward the cap on resume
-		for {
-			var arr StreamArrival
-			if err := dec.Decode(&arr); err != nil {
-				if !errors.Is(err, io.EOF) {
-					push(pending{err: err, decode: true, arrival: arrivals})
-				}
-				close(queue)
-				return
-			}
-			arrivals++
-			if s.cfg.MaxJobs > 0 && arrivals > s.cfg.MaxJobs {
-				push(pending{err: fmt.Errorf("server: stream of %d arrivals exceeds limit %d", arrivals, s.cfg.MaxJobs), arrival: arrivals})
-				close(queue)
-				return
-			}
-			j, err := arr.ToJob()
-			if err != nil {
-				push(pending{err: err, arrival: arrivals})
-				close(queue)
-				return
-			}
-			if !push(pending{resp: b.submit(j, journal.ArrivalOf(j))}) {
-				close(queue)
-				return
-			}
-		}
+		_ = rc.SetReadDeadline(time.Time{})
 	}()
 
-	clean := true
-	for p := range queue {
-		if p.err != nil {
-			// A client that went away mid-stream is ordinary churn, not a
-			// bad request or a stream error; there is no one left to tell.
-			if r.Context().Err() != nil {
-				clean = false
+	// This goroutine owns the session, the journal writer and the
+	// response. A flush takes the first queued arrival and whatever else
+	// is already queued, places and stages each, commits them in one
+	// journal append, and only then encodes their events and flushes the
+	// response once: no event leaves before the Commit covering it.
+	batch := make([]streamItem, 0, maxFlush)
+	out := make([]StreamEvent, 0, maxFlush)
+	confirmed := 0                      // arrivals acknowledged so far
+	var totals [len(streamStages)]int64 // and their summed stage timings
+	for first := range items {
+		batch = append(batch[:0], first)
+	fill:
+		for len(batch) < maxFlush {
+			select {
+			case it, ok := <-items:
+				if !ok {
+					break fill
+				}
+				batch = append(batch, it)
+			default:
+				break fill
+			}
+		}
+
+		// An error stops the flush early; the staged prefix is still
+		// committed and acknowledged before the error is reported.
+		flushStart := time.Now()
+		out = out[:0]
+		var stop error
+		journalFault := false
+		for _, it := range batch {
+			if it.err != nil {
+				stop = it.err
 				break
 			}
-			var tooBig *http.MaxBytesError
-			switch {
-			case errors.As(p.err, &tooBig):
-				s.metrics.rejectedTooLarge.Add(1)
-				fail(fmt.Errorf("server: stream exceeded the request body limit of %d bytes", s.cfg.MaxBodyBytes))
-			case p.decode:
-				s.metrics.badRequests.Add(1)
-				fail(fmt.Errorf("server: decoding arrival %d: %v", p.arrival, p.err))
-			default:
-				s.metrics.badRequests.Add(1)
-				fail(p.err)
+			solveStart := time.Now()
+			ev, err := sess.Offer(it.j)
+			if err != nil {
+				stop = err
+				break
 			}
-			clean = false
-			break
+			wire := WireStreamEvent(ev)
+			wire.SolveNS = time.Since(solveStart).Nanoseconds()
+			if _, err := jw.StageEvent(journal.ArrivalOf(it.j), ev); err != nil {
+				stop, journalFault = err, true
+				break
+			}
+			out = append(out, wire)
 		}
-		res := <-p.resp
-		if res.err != nil {
+		if err := jw.Commit(); err != nil {
+			// Nothing from this flush is durable, so none of it is
+			// acknowledged.
+			out, stop, journalFault = out[:0], err, true
+		}
+		flushNS := time.Since(flushStart).Nanoseconds()
+		if len(out) > 0 {
+			s.metrics.observeFlushSize(len(out))
+		}
+		for i := range out {
+			ev := &out[i]
+			ev.QueueNS, ev.FlushNS = flushStart.Sub(batch[i].enqueued).Nanoseconds(), flushNS
+			stage := [len(streamStages)]int64{ev.QueueNS, ev.FlushNS, ev.SolveNS}
+			for k, ns := range stage {
+				totals[k] = safemath.SatAdd(totals[k], ns)
+			}
+			s.metrics.observeStreamStages(alg, stage)
+			if ev.Type == StreamEventReject {
+				s.metrics.streamRejected.Add(1)
+			} else {
+				s.metrics.streamAssigned.Add(1)
+			}
+			s.reqlog.log(logEntry{Kind: "stream_event", Session: session, Seq: ev.Seq,
+				Outcome: ev.Type, DurationNS: safemath.SatAdd(ev.QueueNS, ev.FlushNS)})
+			if err := enc.Encode(ev); err != nil {
+				return // client gone; the journal stays unclosed and resumable
+			}
+		}
+		confirmed += len(out)
+		_ = rc.Flush()
+
+		var tooBig *http.MaxBytesError
+		switch {
+		case stop == nil:
+			continue
+		case errors.Is(stop, context.Canceled):
+			// A client that went away mid-stream is ordinary churn, not a
+			// bad request or a stream error; there is no one left to tell.
+		case errors.As(stop, &tooBig):
+			s.metrics.rejectedTooLarge.Add(1)
+			fail(fmt.Errorf("server: stream exceeded the request body limit of %d bytes", s.cfg.MaxBodyBytes))
+		case journalFault:
+			// The server's fault, not the client's: no bad request.
+			fail(fmt.Errorf("server: journaling arrivals: %v", stop))
+		default:
 			s.metrics.badRequests.Add(1)
-			fail(res.err)
-			clean = false
-			break
+			fail(stop)
 		}
-		if res.ev.Rejected {
-			s.metrics.streamRejected.Add(1)
-		} else {
-			s.metrics.streamAssigned.Add(1)
-		}
-		ev := WireStreamEvent(res.ev)
-		ev.QueueNS, ev.FlushNS, ev.SolveNS = res.queueNS, res.flushNS, res.solveNS
-		s.reqlog.log(logEntry{Kind: "stream_event", Session: session, Seq: res.ev.Seq,
-			Outcome: ev.Type, DurationNS: safemath.SatAdd(res.queueNS, res.flushNS)})
-		if !emit(ev) {
-			clean = false
-			break
-		}
-	}
-	// Unblock the reader (it closes the batcher input on exit), then
-	// join the worker; only after that are the session and writer safe
-	// to touch again.
-	close(done)
-	b.wait()
-	if !clean {
 		return // journal left unclosed: the session is resumable
 	}
+
 	sum := sess.Summary()
 	chain, err := jw.Close(sum)
 	if err != nil {
@@ -296,7 +316,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reqlog.log(logEntry{Kind: "stream_close", Session: session, Seq: sum.Arrivals,
 		Outcome: "ok", Algorithm: alg, DurationNS: time.Since(sessionStart).Nanoseconds()})
-	node := s.finishTrace(root, "stream", alg, stageNodes(stats)...)
+	node := s.finishTrace(root, "stream", alg, stageNodes(confirmed, totals)...)
 	ev := WireStreamClose(sum, session, chain)
 	if echo {
 		// The trace rides the close event only for clients that sent a
@@ -307,20 +327,55 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	emit(ev)
 }
 
-// observeFlush is the batcher's metrics hook: per-stage latency per
-// arrival plus the flush-size distribution, and the session's running
-// stage totals for its close-report trace. The batcher worker is the
-// only goroutine touching stats until the handler has joined it.
-func (s *Server) observeFlush(alg string, stats *online.StageStats) func(size int, results []batchResult) {
-	return func(size int, results []batchResult) {
-		s.metrics.observeFlushSize(size)
-		for i := range results {
-			if results[i].err != nil {
-				continue
+const (
+	// maxFlush caps the arrivals one stream flush places and commits.
+	maxFlush = 128
+	// readerGrace bounds how long a stream handler waits on exit for its
+	// reader's Read in flight.
+	readerGrace = 100 * time.Millisecond
+)
+
+// streamItem is what a stream session's reader hands the handler: one
+// validated arrival stamped with its enqueue time, or the error that
+// ends the stream.
+type streamItem struct {
+	j        job.Job
+	enqueued time.Time
+	err      error
+}
+
+// readArrivals decodes and validates a stream session's arrivals onto
+// items until the body ends or fails or done is closed, and closes items
+// on return. An error is the last item sent; it is ctx's error when the
+// client went away. arrivals is the count already journaled, which
+// counts toward the MaxJobs cap on resume.
+func (s *Server) readArrivals(ctx context.Context, dec *json.Decoder, arrivals int, items chan<- streamItem, done <-chan struct{}) {
+	defer close(items)
+	for {
+		var arr StreamArrival
+		err := dec.Decode(&arr)
+		if errors.Is(err, io.EOF) {
+			return
+		}
+		var j job.Job
+		if err != nil {
+			if ctx.Err() != nil {
+				err = ctx.Err()
+			} else {
+				err = fmt.Errorf("server: decoding arrival %d: %w", arrivals, err)
 			}
-			stats.Observe(results[i].queueNS, results[i].flushNS, results[i].solveNS)
-			s.metrics.observeStreamStages(alg, results[i].queueNS, results[i].flushNS, results[i].solveNS)
-			s.metrics.observeStreamEvent(alg, time.Duration(results[i].solveNS))
+		} else if arrivals++; s.cfg.MaxJobs > 0 && arrivals > s.cfg.MaxJobs {
+			err = fmt.Errorf("server: stream of %d arrivals exceeds limit %d", arrivals, s.cfg.MaxJobs)
+		} else {
+			j, err = arr.ToJob()
+		}
+		select {
+		case items <- streamItem{j: j, enqueued: time.Now(), err: err}:
+		case <-done:
+			return
+		}
+		if err != nil {
+			return
 		}
 	}
 }

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -387,5 +389,222 @@ func TestStreamSessionsConcurrentWithBatch(t *testing.T) {
 	}
 	if got := s.metrics.requestsBatch.Load(); got != 1 {
 		t.Errorf("batch request counter = %d, want 1", got)
+	}
+}
+
+// windowedStream runs one stream session whose client writes through an
+// io.Pipe and keeps at most window arrivals unacknowledged, so the
+// server's flushes are partial and its reader blocks mid-body. header,
+// when non-nil, is sent before the arrivals (a resume sends none). It
+// returns the open event, the placement events, and the terminal close
+// or error event.
+func windowedStream(target string, header *StreamOpen, jobs []job.Job, window int) (StreamEvent, []StreamEvent, StreamEvent, error) {
+	var openEv, last StreamEvent
+	pr, pw := io.Pipe()
+	tokens := make(chan struct{}, window)
+	abort := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		enc := json.NewEncoder(pw)
+		if header != nil && enc.Encode(header) != nil {
+			return
+		}
+		for _, j := range jobs {
+			select {
+			case tokens <- struct{}{}:
+			case <-abort:
+				return
+			}
+			if enc.Encode(StreamArrival{ID: j.ID, Start: j.Start(), End: j.End(), Weight: j.Weight}) != nil {
+				return
+			}
+		}
+		pw.Close()
+	}()
+	defer func() {
+		close(abort)
+		pr.CloseWithError(io.ErrClosedPipe)
+		<-writerDone
+	}()
+
+	resp, err := http.Post(target, "application/x-ndjson", pr)
+	if err != nil {
+		return openEv, nil, last, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		out, _ := io.ReadAll(resp.Body)
+		return openEv, nil, last, fmt.Errorf("stream status %s: %s", resp.Status, out)
+	}
+	var events []StreamEvent
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var ev StreamEvent
+		if err := dec.Decode(&ev); err != nil {
+			return openEv, events, last, fmt.Errorf("after %d events: %v", len(events), err)
+		}
+		switch ev.Type {
+		case StreamEventOpen:
+			openEv = ev
+		case StreamEventAssign, StreamEventReject:
+			events = append(events, ev)
+			<-tokens
+		default:
+			return openEv, events, ev, nil
+		}
+	}
+}
+
+// faultStore is a journal.Store whose failAt-th Append of each session
+// (the open record is the first) fails once; every other call passes
+// through.
+type faultStore struct {
+	journal.Store
+	failAt int
+
+	mu      sync.Mutex
+	appends map[string]int
+}
+
+var errInjected = errors.New("injected append failure")
+
+func (s *faultStore) Append(session string, recs []journal.Record) error {
+	s.mu.Lock()
+	s.appends[session]++
+	n := s.appends[session]
+	s.mu.Unlock()
+	if n == s.failAt {
+		return errInjected
+	}
+	return s.Store.Append(session, recs)
+}
+
+// metricsSamples scrapes and parses the server's /metrics.
+func metricsSamples(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parseExposition(t, string(text))
+}
+
+// TestStreamJournalFaultIsServerError fails one journal append in the
+// middle of a session: the flushes committed before it stay
+// acknowledged, one error event follows, the fault counts as a stream
+// error and not as the client's bad request, and resuming from the
+// acknowledged count closes byte-equal to an uninterrupted session.
+func TestStreamJournalFaultIsServerError(t *testing.T) {
+	const session = "journal-fault-1"
+	in := workload.WeightedArrivals(7, workload.Config{N: 120, G: 4, MaxTime: 700, MaxLen: 60})
+	open := StreamOpen{G: in.G, Strategy: "online-bestfit", Session: session}
+	// The open record, one acknowledged flush, then the failing commit.
+	ts := newTestServer(t, Config{Journal: &faultStore{Store: journal.NewMemStore(), failAt: 3, appends: map[string]int{}}})
+
+	_, events, last, err := windowedStream(ts.URL+"/v1/stream", &open, in.Jobs, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.Type != StreamEventError || !strings.Contains(last.Error, errInjected.Error()) {
+		t.Fatalf("stream ended with %+v, want an error event naming the append failure", last)
+	}
+	acked := len(events)
+	if acked == 0 || acked >= len(in.Jobs) {
+		t.Fatalf("%d of %d arrivals acknowledged before the failing append", acked, len(in.Jobs))
+	}
+	for i, ev := range events {
+		if ev.Seq != i {
+			t.Fatalf("event %d carries seq %d", i, ev.Seq)
+		}
+	}
+	samples := metricsSamples(t, ts.URL)
+	if got := samples[`busyd_rejected_total{reason="bad_request"}`]; got != 0 {
+		t.Errorf("a journal fault was billed to the client: bad_request = %g", got)
+	}
+	if got := samples["busyd_stream_errors_total"]; got != 1 {
+		t.Errorf("busyd_stream_errors_total = %g, want 1", got)
+	}
+
+	openEv, resumed, closeA := resumeStream(t, ts.URL, session, acked, in.Jobs[acked:])
+	if openEv.Arrivals != acked {
+		t.Fatalf("journal holds %d arrivals after the fault, %d were acknowledged", openEv.Arrivals, acked)
+	}
+	if len(resumed) != len(in.Jobs)-acked {
+		t.Fatalf("resumed stream delivered %d events, want %d", len(resumed), len(in.Jobs)-acked)
+	}
+	_, closeB := streamInstance(t, newTestServer(t, Config{}).URL, open, in)
+	gotA, err := json.Marshal(closeA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotB, err := json.Marshal(closeB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotA, gotB) {
+		t.Errorf("resumed close diverges from an uninterrupted session\n resumed:       %s\n uninterrupted: %s", gotA, gotB)
+	}
+}
+
+// TestStreamEarlyEndJoinsReader ends sessions on a journal fault while
+// the client is still sending. The handler must not return while its
+// reader is inside the request body (net/http would panic on a
+// concurrent Body.Read and log it), and the response must close the
+// connection so unread arrivals are never parsed as a new request.
+func TestStreamEarlyEndJoinsReader(t *testing.T) {
+	s, err := New(Config{Journal: &faultStore{Store: journal.NewMemStore(), failAt: 2, appends: map[string]int{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errLog syncBuffer
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ErrorLog = log.New(&errLog, "", 0)
+	ts.Start()
+
+	for k := 0; k < 20; k++ {
+		// The client sends until it has read the error event and closes
+		// the pipe.
+		pr, pw := io.Pipe()
+		writerDone := make(chan struct{})
+		go func() {
+			defer close(writerDone)
+			enc := json.NewEncoder(pw)
+			err := enc.Encode(StreamOpen{G: 2, Strategy: "online-firstfit"})
+			for i := int64(0); err == nil; i++ {
+				err = enc.Encode(StreamArrival{ID: int(i), Start: i, End: i + 5, Weight: 1})
+			}
+		}()
+		var last StreamEvent
+		resp, err := http.Post(ts.URL+"/v1/stream", "application/x-ndjson", pr)
+		if err == nil {
+			dec := json.NewDecoder(resp.Body)
+			for dec.Decode(&last) == nil {
+				if last.Type == StreamEventError {
+					break
+				}
+			}
+			resp.Body.Close()
+		}
+		pr.CloseWithError(io.ErrClosedPipe)
+		<-writerDone
+		if err != nil {
+			t.Fatalf("session %d: %v", k, err)
+		}
+		if last.Type != StreamEventError {
+			t.Fatalf("session %d ended with %+v, want an error event", k, last)
+		}
+		if !resp.Close {
+			t.Fatalf("session %d: stream response keeps its connection open", k)
+		}
+	}
+	ts.Close()
+	if out := errLog.String(); out != "" {
+		t.Errorf("server error log after early-ended sessions:\n%s", out)
 	}
 }

@@ -4,9 +4,11 @@ package server
 // interesting under `go test -race` (the dedicated CI step runs them
 // with a raised -count); without the race detector they still assert
 // the user-visible invariants: snapshots are complete and ordered, and
-// every submitted arrival gets exactly one durable answer.
+// every streamed arrival gets exactly one durable answer.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -14,8 +16,8 @@ import (
 
 	"repro/internal/job"
 	"repro/internal/journal"
-	"repro/internal/online"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // TestStressTraceRing hammers the lock-free ring from concurrent
@@ -96,69 +98,92 @@ func TestStressTraceRing(t *testing.T) {
 	}
 }
 
-// TestStressBatcher submits arrivals from many goroutines into one
-// batcher worker: every submission must come back exactly once with a
-// distinct event sequence number and no error, and the observe hook's
-// flush sizes must account for every item.
-func TestStressBatcher(t *testing.T) {
+// TestStressStreamSessions runs concurrent stream sessions on one
+// Server, each client keeping at most a few arrivals unacknowledged, so
+// flushes are partial and every session's reader blocks mid-body while
+// its handler commits and acknowledges. Every session must see one
+// event per arrival in seq order with non-negative stage timings and
+// close byte-equal to its offline certificate, and the flush-size
+// histogram must account for every arrival sent.
+func TestStressStreamSessions(t *testing.T) {
 	const (
-		g          = 8
-		submitters = 8
-		perSub     = 200
-		total      = submitters * perSub
+		sessions = 8
+		window   = 8
 	)
-	store := journal.NewMemStore()
-	jw, err := journal.NewWriter(store, "stress", journal.OpenParams{G: g, Strategy: "online-firstfit"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := online.NewSession(g, online.FirstFit())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var observed atomic.Int64
-	b := newBatcher(sess, jw, 16, 0, func(size int, results []batchResult) {
-		observed.Add(int64(size))
-	})
-
-	results := make(chan batchResult, total)
+	ts := newTestServer(t, Config{})
+	strategies := []string{"online-firstfit", "online-bestfit", "online-buckets", "online-budget"}
+	errs := make([]error, sessions)
+	sent := 0
 	var wg sync.WaitGroup
-	for s := 0; s < submitters; s++ {
+	for k := 0; k < sessions; k++ {
+		in := workload.WeightedArrivals(int64(40+k), workload.Config{N: 200 + 10*k, G: 2 + k%4, MaxTime: 900, MaxLen: 60})
+		open := StreamOpen{G: in.G, Strategy: strategies[k%len(strategies)], Session: fmt.Sprintf("stress-%d", k)}
+		if open.Strategy == "online-budget" {
+			open.Budget = in.LowerBound() * 3 / 2
+		}
+		sent += len(in.Jobs)
 		wg.Add(1)
-		go func(s int) {
+		go func(k int) {
 			defer wg.Done()
-			for i := 0; i < perSub; i++ {
-				// Identical start times: Offer rejects a start that goes
-				// backwards, and concurrent submitters have no order.
-				j := job.New(s*perSub+i, 0, 10)
-				results <- <-b.submit(j, journal.ArrivalOf(j))
-			}
-		}(s)
+			errs[k] = checkWindowedSession(ts.URL, open, in.Jobs, window)
+		}(k)
 	}
 	wg.Wait()
-	b.close()
-	b.wait()
-	close(results)
+	for k, err := range errs {
+		if err != nil {
+			t.Errorf("session %d: %v", k, err)
+		}
+	}
+	samples := metricsSamples(t, ts.URL)
+	if got := samples["busyd_stream_flush_size_sum"]; got != float64(sent) {
+		t.Errorf("busyd_stream_flush_size_sum = %g, want the %d arrivals sent", got, sent)
+	}
+	// No client ever has more than window arrivals queued, so no flush
+	// can hold more.
+	if got := samples["busyd_stream_flush_size_count"]; got*window < float64(sent) {
+		t.Errorf("%g flushes for %d arrivals: some flush held more than the %d-arrival window", got, sent, window)
+	}
+}
 
-	seqs := map[int]bool{}
-	n := 0
-	for res := range results {
-		n++
-		if res.err != nil {
-			t.Fatalf("arrival failed under concurrency: %v", res.err)
+// checkWindowedSession streams jobs through windowedStream and checks
+// the session's events and close report.
+func checkWindowedSession(url string, open StreamOpen, jobs []job.Job, window int) error {
+	_, events, last, err := windowedStream(url+"/v1/stream", &open, jobs, window)
+	if err != nil {
+		return err
+	}
+	if last.Type != StreamEventClose {
+		return fmt.Errorf("ended with %+v, want a close event", last)
+	}
+	if len(events) != len(jobs) {
+		return fmt.Errorf("%d arrivals produced %d events", len(jobs), len(events))
+	}
+	for i, ev := range events {
+		if ev.Seq != i {
+			return fmt.Errorf("event %d carries seq %d", i, ev.Seq)
 		}
-		if seqs[res.ev.Seq] {
-			t.Fatalf("event seq %d delivered twice", res.ev.Seq)
-		}
-		seqs[res.ev.Seq] = true
-		if res.queueNS < 0 || res.flushNS < 0 || res.solveNS < 0 {
-			t.Fatalf("negative stage timing: %+v", res)
+		if ev.QueueNS < 0 || ev.FlushNS < 0 || ev.SolveNS < 0 {
+			return fmt.Errorf("event %d has a negative stage timing: %+v", i, ev)
 		}
 	}
-	if n != total {
-		t.Fatalf("got %d responses, want %d", n, total)
+	arrs := make([]journal.Arrival, len(jobs))
+	for i, j := range jobs {
+		arrs[i] = journal.ArrivalOf(j)
 	}
-	if got := observed.Load(); got != total {
-		t.Fatalf("observe hook saw %d items, want %d", got, total)
+	_, cert, err := journal.Certify(open.Session, journal.OpenParams{G: open.G, Strategy: open.Strategy, Budget: open.Budget}, arrs)
+	if err != nil {
+		return err
 	}
+	got, err := json.Marshal(last)
+	if err != nil {
+		return err
+	}
+	want, err := json.Marshal(WireStreamClose(cert.Summary, open.Session, cert.Chain))
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("close report diverges from offline replay\n streamed: %s\n offline:  %s", got, want)
+	}
+	return nil
 }

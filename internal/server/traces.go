@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/online"
 	"repro/internal/safemath"
 	"repro/internal/trace"
 )
@@ -141,21 +140,22 @@ func phaseDurations(node *trace.Node) map[string]int64 {
 }
 
 // stageNodes synthesizes the close-report trace children of a streamed
-// session: one aggregate node per serving stage, summed over every
-// confirmed arrival. They are aggregates of overlapping per-arrival
-// intervals, not nested sub-spans, so they are marked as such and
-// exempt from the children-sum-≤-root invariant. The "stage." prefix
-// keeps them clear of the solver's own phase names.
-func stageNodes(st *online.StageStats) []*trace.Node {
-	if st.Arrivals == 0 {
+// session: one aggregate node per serving stage (streamStages order),
+// its total over the session's confirmed arrivals. They are aggregates
+// of overlapping per-arrival intervals, not nested sub-spans, so they
+// are marked as such and exempt from the children-sum-≤-root invariant.
+// The "stage." prefix keeps them clear of the solver's own phase names.
+func stageNodes(arrivals int, totals [len(streamStages)]int64) []*trace.Node {
+	if arrivals == 0 {
 		return nil
 	}
-	mk := func(name string, ns int64) *trace.Node {
-		return &trace.Node{Name: name, DurationNS: ns, Attrs: map[string]string{
-			"aggregate": "true", "arrivals": strconv.Itoa(st.Arrivals),
+	nodes := make([]*trace.Node, len(streamStages))
+	for i, stage := range streamStages {
+		nodes[i] = &trace.Node{Name: "stage." + stage, DurationNS: totals[i], Attrs: map[string]string{
+			"aggregate": "true", "arrivals": strconv.Itoa(arrivals),
 		}}
 	}
-	return []*trace.Node{mk("stage.queue", st.QueueNS), mk("stage.flush", st.FlushNS), mk("stage.solve", st.SolveNS)}
+	return nodes
 }
 
 // handleTraces serves GET /debug/traces: the ring's root spans newest
