@@ -8,6 +8,7 @@
 package busytime_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/demand"
 	"repro/internal/exact"
 	"repro/internal/experiments"
+	"repro/internal/localsearch"
 	"repro/internal/matching"
 	"repro/internal/topology/ring"
 	"repro/internal/workload"
@@ -26,7 +28,7 @@ func BenchmarkE1CliqueMatching(b *testing.B) {
 	in := workload.Clique(1, workload.Config{N: 100, G: 2, MaxTime: 1000, MaxLen: 300})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := busytime.CliqueMatching(in); err != nil {
+		if _, err := core.CliqueMatching(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -37,7 +39,7 @@ func BenchmarkE2CliqueSetCover(b *testing.B) {
 	in := workload.Clique(1, workload.Config{N: 30, G: 3, MaxTime: 1000, MaxLen: 300})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := busytime.CliqueSetCover(in); err != nil {
+		if _, err := core.CliqueSetCover(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,7 +50,7 @@ func BenchmarkE3BestCut(b *testing.B) {
 	in := workload.Proper(1, workload.Config{N: 1000, G: 4, MaxTime: 10000, MaxLen: 300})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := busytime.BestCut(in); err != nil {
+		if _, err := core.BestCut(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -59,7 +61,7 @@ func BenchmarkE4ProperCliqueDP(b *testing.B) {
 	in := workload.ProperClique(1, workload.Config{N: 1000, G: 4, MaxTime: 10000, MaxLen: 300})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := busytime.FindBestConsecutive(in); err != nil {
+		if _, err := core.FindBestConsecutive(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,7 +76,7 @@ func BenchmarkE5Fig3LowerBound(b *testing.B) {
 	want := workload.Figure3FirstFitCost(12, 2, 1000, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := busytime.FirstFit2D(in)
+		s := core.FirstFit2D(in)
 		if s.Cost() != want {
 			b.Fatalf("cost %d, prediction %d", s.Cost(), want)
 		}
@@ -86,7 +88,7 @@ func BenchmarkE6BucketFirstFit(b *testing.B) {
 	in := workload.BoundedGammaRects(1, workload.Config{N: 200, G: 4, MaxTime: 1000, MaxLen: 100}, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := busytime.BucketFirstFitAuto(in); err != nil {
+		if _, err := core.BucketFirstFitAuto(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,7 +100,7 @@ func BenchmarkE7CliqueThroughput(b *testing.B) {
 	budget := in.TotalLen() / 4
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := busytime.CliqueThroughput(in, budget); err != nil {
+		if _, err := core.CliqueThroughput(in, budget); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,7 +113,7 @@ func BenchmarkE8ThroughputDP(b *testing.B) {
 	b.Run("unweighted", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := busytime.MostThroughputConsecutive(in, budget); err != nil {
+			if _, err := core.MostThroughputConsecutive(in, budget); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -119,20 +121,26 @@ func BenchmarkE8ThroughputDP(b *testing.B) {
 	b.Run("weighted", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := busytime.MostWeightConsecutive(in, budget); err != nil {
+			if _, err := core.MostWeightConsecutive(in, budget); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// E9 — Observation 2.1 bounds: the auto dispatcher on general workloads.
+// E9 — Observation 2.1 bounds: the Solver's auto dispatch on general
+// workloads.
 func BenchmarkE9Bounds(b *testing.B) {
 	in := workload.General(1, workload.Config{N: 500, G: 4, MaxTime: 5000, MaxLen: 300})
+	solver := busytime.NewSolver()
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, _ := busytime.MinBusy(in)
-		if s.Cost() < in.LowerBound() {
+		res, err := solver.Solve(ctx, busytime.Request{Instance: in})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Cost < in.LowerBound() {
 			b.Fatal("cost below lower bound")
 		}
 	}
@@ -143,7 +151,7 @@ func BenchmarkE10Reduction(b *testing.B) {
 	in := workload.ProperClique(1, workload.Config{N: 200, G: 3, MaxTime: 2000, MaxLen: 150})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := busytime.MinBusyViaThroughput(in, busytime.MostThroughputConsecutive); err != nil {
+		if _, err := core.MinBusyViaThroughput(in, core.MostThroughputConsecutive); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -155,7 +163,7 @@ func BenchmarkE11OneSided(b *testing.B) {
 	budget := in.TotalLen() / 2
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := busytime.OneSidedGreedy(in); err != nil {
+		if _, err := core.OneSidedGreedy(in); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := core.OneSidedThroughput(in, budget); err != nil {
@@ -225,7 +233,7 @@ func BenchmarkScaleBestCut(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := busytime.BestCut(in); err != nil {
+				if _, err := core.BestCut(in); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -239,7 +247,7 @@ func BenchmarkScaleProperCliqueDP(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := busytime.FindBestConsecutive(in); err != nil {
+				if _, err := core.FindBestConsecutive(in); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -254,7 +262,7 @@ func BenchmarkScaleThroughputDP(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := busytime.MostThroughputConsecutive(in, budget); err != nil {
+				if _, err := core.MostThroughputConsecutive(in, budget); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -268,7 +276,7 @@ func BenchmarkScaleMatching(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := busytime.CliqueMatching(in); err != nil {
+				if _, err := core.CliqueMatching(in); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -299,25 +307,7 @@ func BenchmarkScaleFirstFit(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				busytime.FirstFit(in)
-			}
-		})
-	}
-}
-
-func BenchmarkScaleFirstFitFast(b *testing.B) {
-	for _, n := range []int{1000, 4000} {
-		in := workload.General(1, workload.Config{N: n, G: 4, MaxTime: int64(n) * 5, MaxLen: 200})
-		b.Run(fmt.Sprintf("linear/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				busytime.FirstFit(in)
-			}
-		})
-		b.Run(fmt.Sprintf("treap/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				busytime.FirstFitFast(in)
+				core.FirstFit(in)
 			}
 		})
 	}
@@ -326,10 +316,10 @@ func BenchmarkScaleFirstFitFast(b *testing.B) {
 // E15 — local-search post-optimization.
 func BenchmarkE15LocalSearch(b *testing.B) {
 	in := workload.General(1, workload.Config{N: 200, G: 3, MaxTime: 1500, MaxLen: 120})
-	base := busytime.FirstFit(in)
+	base := core.FirstFit(in)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := busytime.ImproveSchedule(base, 0)
+		s := localsearch.Improve(base, 0)
 		if s.Cost() > base.Cost() {
 			b.Fatal("local search worsened the schedule")
 		}

@@ -10,24 +10,23 @@
 //     of machine busy times. Exact polynomial algorithms for one-sided
 //     cliques, proper cliques, and cliques with g = 2; a (2−1/g)-
 //     approximation for proper instances; a g·H_g/(H_g+g−1)-approximation
-//     for cliques; FirstFit baselines for everything else.
+//     for cliques; the first-fit baseline for everything else.
 //   - MaxThroughput: schedule a maximum subset of jobs within busy-time
 //     budget T. Exact algorithms for one-sided cliques and proper cliques
 //     (including a weighted variant), a 4-approximation for cliques.
-//   - Two-dimensional jobs (time × day rectangles): FirstFit2D and
-//     BucketFirstFit with the paper's logarithmic guarantee.
+//   - Two-dimensional jobs (time × day rectangles): first-fit-2d and
+//     bucket-first-fit with the paper's logarithmic guarantee.
 //   - Online scheduling (beyond-paper): jobs arrive over time and are
-//     committed irrevocably; strategies OnlineNaive, OnlineFirstFit and
-//     OnlineBuckets replay rigid or flexible-window streams and report
-//     empirical competitive ratios against the offline algorithms.
+//     committed irrevocably; the online strategies replay rigid or
+//     flexible-window streams, and CompareOnline reports their empirical
+//     competitive ratios against the offline algorithms.
 //
-// The package is a facade over internal implementation packages; all
-// functionality is reachable from here. The primary entry point is the
-// Solver: a Request names an instance and a problem kind, Solve is
-// context-cancellable, and the structured Result carries the schedule,
-// the algorithm used, the detected class, cost and machine statistics,
-// the Observation 2.1 lower bound with the achieved ratio, and a
-// Certificate() feasibility check. Quick start:
+// The package is a facade over internal implementation packages. Its one
+// entry point is the Solver: a Request names an instance and a problem
+// kind, Solve is context-cancellable, and the structured Result carries
+// the schedule, the algorithm used, the detected class, cost and machine
+// statistics, the Observation 2.1 lower bound with the achieved ratio,
+// and a Certificate() feasibility check. Quick start:
 //
 //	in := busytime.NewInstance(2, [2]int64{0, 10}, [2]int64{5, 15})
 //	res, err := busytime.NewSolver().Solve(context.Background(),
@@ -35,20 +34,20 @@
 //	fmt.Println(res.Algorithm, res.Cost, res.Certificate())
 //
 // Every algorithm is registered in a central registry (Algorithms,
-// LookupAlgorithm, AlgorithmFor) with its name, problem kind, applicable
-// instance classes and approximation guarantee; auto dispatch and the
-// CLI -algo flags resolve through it. The top-level helpers below
-// (MinBusy, MaxThroughput, and the named algorithm variables) predate
-// the Solver and remain as thin wrappers.
+// LookupAlgorithm, AlgorithmFor) with its name, aliases, problem kind,
+// applicable instance classes and approximation guarantee. Auto dispatch
+// walks it from the strongest algorithm for the detected class down, and
+// WithAlgorithm and the CLI -algo flags name an algorithm through it.
 package busytime
 
 import (
+	"context"
+
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/igraph"
 	"repro/internal/interval"
 	"repro/internal/job"
-	"repro/internal/localsearch"
 	"repro/internal/online"
 	"repro/internal/rect"
 	"repro/internal/reopt"
@@ -99,93 +98,6 @@ func NewInstance(g int, spans ...[2]int64) Instance { return job.NewInstance(g, 
 // Classify returns the most specific instance class of the job set.
 func Classify(jobs []Job) Class { return igraph.Classify(jobs) }
 
-// MinBusy schedules all jobs with the strongest algorithm applicable to
-// the instance's class and returns the schedule and the algorithm name.
-//
-// Deprecated: use NewSolver().Solve with a KindMinBusy Request, which
-// adds context cancellation and a structured Result. MinBusy remains for
-// existing callers and dispatches identically.
-func MinBusy(in Instance) (Schedule, string) { return core.MinBusyAuto(in) }
-
-// MaxThroughput schedules a maximum subset of jobs within the busy-time
-// budget using the strongest applicable algorithm, returning the schedule
-// and algorithm name.
-//
-// Deprecated: use NewSolver().Solve with a KindMaxThroughput Request.
-func MaxThroughput(in Instance, budget int64) (Schedule, string) {
-	return core.ThroughputAuto(in, budget)
-}
-
-// Named MinBusy algorithms (see the paper references on each).
-var (
-	// NaivePerJob assigns each job its own machine (Prop 2.1 baseline).
-	NaivePerJob = core.NaivePerJob
-	// FirstFit is the 4-approximation baseline of [13].
-	FirstFit = core.FirstFit
-	// FirstFitFast is FirstFit with interval-treap threads: identical
-	// assignments, O(log n) overlap checks.
-	FirstFitFast = core.FirstFitFast
-	// OneSidedGreedy solves one-sided cliques exactly (Observation 3.1).
-	OneSidedGreedy = core.OneSidedGreedy
-	// CliqueMatching solves cliques with g = 2 exactly (Lemma 3.1).
-	CliqueMatching = core.CliqueMatching
-	// CliqueSetCover approximates cliques within g·H_g/(H_g+g−1) (Lemma 3.2).
-	CliqueSetCover = core.CliqueSetCover
-	// BestCut is the (2−1/g)-approximation for proper instances (Thm 3.1).
-	BestCut = core.BestCut
-	// FindBestConsecutive solves proper cliques exactly (Theorem 3.2).
-	FindBestConsecutive = core.FindBestConsecutive
-)
-
-// Named MaxThroughput algorithms.
-var (
-	// OneSidedThroughput solves one-sided cliques exactly (Prop 4.1).
-	OneSidedThroughput = core.OneSidedThroughput
-	// CliqueThroughput is the 4-approximation for cliques (Theorem 4.1).
-	CliqueThroughput = core.CliqueThroughput
-	// MostThroughputConsecutive solves proper cliques exactly (Thm 4.2).
-	MostThroughputConsecutive = core.MostThroughputConsecutive
-	// MostWeightConsecutive is the weighted extension (Section 5).
-	MostWeightConsecutive = core.MostWeightConsecutive
-	// OneSidedWeightThroughput is the weighted extension on one-sided
-	// cliques (Section 5).
-	OneSidedWeightThroughput = core.OneSidedWeightThroughput
-	// GreedyThroughput is the general-instance heuristic fallback.
-	GreedyThroughput = core.GreedyThroughput
-	// MinBusyViaThroughput is the Proposition 2.2 reduction.
-	MinBusyViaThroughput = core.MinBusyViaThroughput
-)
-
-// Two-dimensional algorithms (Section 3.4).
-var (
-	// FirstFit2D is Algorithm 3 (ratio between 6γ₁+3 and 6γ₁+4, Lemma 3.5).
-	FirstFit2D = core.FirstFit2D
-	// BucketFirstFit is Algorithm 4 with explicit bucket base β.
-	BucketFirstFit = core.BucketFirstFit
-	// BucketFirstFitAuto normalizes γ₁ ≤ γ₂ and uses the paper's β = 3.3.
-	BucketFirstFitAuto = core.BucketFirstFitAuto
-	// NaivePerJob2D is the per-job baseline in two dimensions.
-	NaivePerJob2D = core.NaivePerJob2D
-)
-
-// Exact exponential-time oracles for small instances (n ≤ 18), used to
-// measure approximation quality.
-var (
-	// ExactMinBusy computes an optimal total schedule.
-	ExactMinBusy = exact.MinBusy
-	// ExactMaxThroughput computes an optimal budgeted partial schedule.
-	ExactMaxThroughput = exact.MaxThroughput
-	// ExactMaxWeightThroughput is the weighted oracle.
-	ExactMaxWeightThroughput = exact.MaxWeightThroughput
-)
-
-// Post-optimization.
-var (
-	// ImproveSchedule hill-climbs a valid schedule to a local optimum of
-	// no greater cost (beyond-paper addition, experiment E15).
-	ImproveSchedule = localsearch.Improve
-)
-
 // Reoptimization (beyond paper, after "Optimization and Reoptimization
 // in Scheduling Problems", arXiv 1509.01630; enabled per Solver with
 // WithReoptimization).
@@ -203,7 +115,8 @@ var (
 // machines irrevocably, with busy time accruing as machines open and
 // close.
 type (
-	// OnlineStrategy is an online placement policy fed by ReplayOnline.
+	// OnlineStrategy is an online placement policy; the registry builds
+	// one per online algorithm (AlgorithmInfo.NewStrategy).
 	OnlineStrategy = online.Strategy
 	// OnlineResult is a replayed run: committed schedule plus statistics.
 	OnlineResult = online.Result
@@ -231,26 +144,12 @@ type (
 )
 
 var (
-	// OnlineNaive opens one machine per arrival (g-competitive baseline).
-	OnlineNaive = online.Naive
-	// OnlineFirstFit places each arrival on the first open machine it fits.
-	OnlineFirstFit = online.FirstFit
-	// OnlineBuckets runs FirstFit within doubling length classes.
-	OnlineBuckets = online.Buckets
-	// OnlineBestFit places each arrival where it adds the least busy time.
-	OnlineBestFit = online.BestFit
-	// OnlineBudgeted wraps BestFit with weighted budget admission control.
-	OnlineBudgeted = online.Budgeted
 	// NewOnlineSession starts an incremental session for a strategy.
 	NewOnlineSession = online.NewSession
 	// NewOnlineRatioTracker starts an incremental ratio tracker.
 	NewOnlineRatioTracker = online.NewRatioTracker
-	// ReplayOnline feeds an instance through a strategy in arrival order.
-	ReplayOnline = online.Replay
 	// ReplayFlexible replays flexible jobs under a start policy.
 	ReplayFlexible = online.FlexReplay
-	// CompareOnline reports empirical competitive ratios per strategy.
-	CompareOnline = online.Compare
 	// NewFlexJob builds a flexible job with a [release, deadline) window.
 	NewFlexJob = online.NewFlexJob
 	// StartASAP commits every flexible job at its release time.
@@ -258,6 +157,50 @@ var (
 	// StartAligned delays a flexible job into an open busy period.
 	StartAligned = online.StartAligned
 )
+
+// CompareOnline replays the instance through each strategy and reports
+// each run's cost against the offline auto dispatch of NewSolver(), the
+// Observation 2.1 lower bound and, when the instance has at most
+// exact.MaxN jobs, the exact optimum. It is the harness behind the
+// competitive-ratio experiments and cmd/onlinesim.
+func CompareOnline(in Instance, strategies ...OnlineStrategy) ([]OnlineReport, error) {
+	ctx := context.TODO()
+	offline, err := NewSolver().Solve(ctx, Request{Instance: in})
+	if err != nil {
+		return nil, err
+	}
+	var exactCost int64
+	hasExact := false
+	if len(in.Jobs) <= exact.MaxN {
+		s, err := exact.MinBusyCtx(ctx, in)
+		if err != nil {
+			return nil, err
+		}
+		exactCost, hasExact = s.Cost(), true
+	}
+	lb := in.LowerBound()
+
+	reports := make([]OnlineReport, 0, len(strategies))
+	for _, st := range strategies {
+		res, err := online.Replay(in, st)
+		if err != nil {
+			return nil, err
+		}
+		reports = append(reports, OnlineReport{
+			Strategy:    res.Strategy,
+			Cost:        res.Cost,
+			Machines:    res.MachinesOpened,
+			PeakOpen:    res.PeakOpen,
+			Rejected:    res.Rejected,
+			OfflineCost: offline.Cost,
+			OfflineAlg:  offline.Algorithm,
+			ExactCost:   exactCost,
+			HasExact:    hasExact,
+			LowerBound:  lb,
+		})
+	}
+	return reports, nil
+}
 
 // Workload generation, re-exported for examples and downstream benchmarks.
 type WorkloadConfig = workload.Config

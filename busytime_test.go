@@ -2,16 +2,36 @@ package busytime_test
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	busytime "repro"
 )
 
+// solve runs one request through a Solver built from opts.
+func solve(t *testing.T, req busytime.Request, opts ...busytime.SolverOption) busytime.Result {
+	t.Helper()
+	res, err := busytime.NewSolver(opts...).Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// onlineStrategy builds a registered online strategy by name.
+func onlineStrategy(t *testing.T, name string) busytime.OnlineStrategy {
+	t.Helper()
+	alg, err := busytime.LookupAlgorithmKind(busytime.KindOnline, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return alg.NewStrategy()
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	in := busytime.NewInstance(2,
 		[2]int64{0, 10}, [2]int64{5, 15}, [2]int64{8, 20}, [2]int64{12, 25})
-	s, alg := busytime.MinBusy(in)
+	res := solve(t, busytime.Request{Instance: in})
+	s, alg := res.Schedule, res.Algorithm
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -37,21 +57,22 @@ func TestMaxThroughputDispatch(t *testing.T) {
 		{busytime.NewInstance(2, [2]int64{0, 10}, [2]int64{2, 5}, [2]int64{40, 50}), "greedy-throughput"},
 	}
 	for i, c := range cases {
-		s, alg := busytime.MaxThroughput(c.in, 1000)
-		if alg != c.want {
-			t.Errorf("case %d: dispatched to %q, want %q", i, alg, c.want)
+		res := solve(t, busytime.Request{Instance: c.in, Kind: busytime.KindMaxThroughput, Budget: 1000})
+		if res.Algorithm != c.want {
+			t.Errorf("case %d: dispatched to %q, want %q", i, res.Algorithm, c.want)
 		}
-		if err := s.Validate(); err != nil {
+		if err := res.Schedule.Validate(); err != nil {
 			t.Errorf("case %d: %v", i, err)
 		}
 	}
 }
 
 func TestGreedyThroughputRespectsBudget(t *testing.T) {
+	greedy := busytime.WithAlgorithm("greedy-throughput")
 	for seed := int64(0); seed < 15; seed++ {
 		in := busytime.GenerateGeneral(seed, busytime.WorkloadConfig{N: 15, G: 2, MaxTime: 80, MaxLen: 25})
 		for _, budget := range []int64{0, 10, 50, 200, 10000} {
-			s := busytime.GreedyThroughput(in, budget)
+			s := solve(t, busytime.Request{Instance: in, Kind: busytime.KindMaxThroughput, Budget: budget}, greedy).Schedule
 			if err := s.Validate(); err != nil {
 				t.Fatalf("seed %d budget %d: %v", seed, budget, err)
 			}
@@ -60,7 +81,7 @@ func TestGreedyThroughputRespectsBudget(t *testing.T) {
 			}
 		}
 		// Generous budget must schedule everything.
-		s := busytime.GreedyThroughput(in, in.TotalLen())
+		s := solve(t, busytime.Request{Instance: in, Kind: busytime.KindMaxThroughput, Budget: in.TotalLen()}, greedy).Schedule
 		if s.Throughput() != len(in.Jobs) {
 			t.Errorf("seed %d: full budget scheduled %d/%d", seed, s.Throughput(), len(in.Jobs))
 		}
@@ -76,39 +97,29 @@ func TestClassifyExported(t *testing.T) {
 
 func TestExactOracleExported(t *testing.T) {
 	in := busytime.NewInstance(2, [2]int64{0, 10}, [2]int64{0, 10}, [2]int64{0, 10})
-	s, err := busytime.ExactMinBusy(in)
-	if err != nil {
-		t.Fatal(err)
+	s := solve(t, busytime.Request{Instance: in}, busytime.WithAlgorithm("exact"))
+	if s.Cost != 20 {
+		t.Errorf("exact cost = %d, want 20", s.Cost)
 	}
-	if s.Cost() != 20 {
-		t.Errorf("exact cost = %d, want 20", s.Cost())
-	}
-	ts, err := busytime.ExactMaxThroughput(in, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.Throughput() != 2 {
-		t.Errorf("exact throughput = %d, want 2", ts.Throughput())
+	ts := solve(t, busytime.Request{Instance: in, Kind: busytime.KindMaxThroughput, Budget: 10},
+		busytime.WithAlgorithm("exact-throughput"))
+	if ts.Scheduled != 2 {
+		t.Errorf("exact throughput = %d, want 2", ts.Scheduled)
 	}
 }
 
 func TestOnlineFacade(t *testing.T) {
 	in := busytime.GenerateArrivals(1, busytime.WorkloadConfig{N: 14, G: 2, MaxTime: 80, MaxLen: 25})
-	for _, st := range []busytime.OnlineStrategy{
-		busytime.OnlineNaive(), busytime.OnlineFirstFit(), busytime.OnlineBuckets(),
-	} {
-		res, err := busytime.ReplayOnline(in, st)
-		if err != nil {
-			t.Fatalf("%s: %v", st.Name(), err)
-		}
+	for _, name := range []string{"online-naive", "online-firstfit", "online-buckets"} {
+		res := solve(t, busytime.Request{Instance: in, Kind: busytime.KindOnline}, busytime.WithAlgorithm(name))
 		if err := res.Schedule.Validate(); err != nil {
-			t.Fatalf("%s: %v", st.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if res.Schedule.Throughput() != len(in.Jobs) {
-			t.Fatalf("%s: left jobs unscheduled", st.Name())
+			t.Fatalf("%s: left jobs unscheduled", name)
 		}
 	}
-	reports, err := busytime.CompareOnline(in, busytime.OnlineFirstFit())
+	reports, err := busytime.CompareOnline(in, onlineStrategy(t, "online-firstfit"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +131,7 @@ func TestOnlineFacade(t *testing.T) {
 		busytime.NewFlexJob(0, 0, 30, 10),
 		busytime.NewFlexJob(1, 5, 40, 8),
 	}
-	res, err := busytime.ReplayFlexible(2, flex, busytime.StartAligned(), busytime.OnlineFirstFit())
+	res, err := busytime.ReplayFlexible(2, flex, busytime.StartAligned(), onlineStrategy(t, "online-firstfit"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,70 +153,45 @@ func TestRectFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := busytime.FirstFit2D(in)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := busytime.BucketFirstFitAuto(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"first-fit-2d", "bucket-first-fit"} {
+		res := solve(t, busytime.Request{Rect: &in}, busytime.WithAlgorithm(name))
+		if err := res.Rect.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 
-// TestDeprecatedFacadeByteIdentical locks the migration path from the
-// deprecated facade wrappers to the Solver: MinBusy and MaxThroughput
-// must produce byte-identical machine assignments (not merely equal
-// costs) and the same reported algorithm as the equivalent Solver.Solve
-// call, across every instance class and including disconnected
-// instances that exercise the component-merge path.
-func TestDeprecatedFacadeByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	solver := busytime.NewSolver()
-	gens := map[string]func(seed int64, cfg busytime.WorkloadConfig) busytime.Instance{
-		"general":       busytime.GenerateGeneral,
-		"proper":        busytime.GenerateProper,
-		"clique":        busytime.GenerateClique,
-		"proper-clique": busytime.GenerateProperClique,
-		"one-sided": func(seed int64, cfg busytime.WorkloadConfig) busytime.Instance {
-			return busytime.GenerateOneSided(seed, cfg, seed%2 == 0)
-		},
-		"cloud": busytime.GenerateCloud,
+func TestCompareReports(t *testing.T) {
+	in := busytime.GenerateArrivals(3, busytime.WorkloadConfig{N: 12, G: 2, MaxTime: 80, MaxLen: 25})
+	reports, err := busytime.CompareOnline(in, onlineStrategy(t, "online-naive"),
+		onlineStrategy(t, "online-firstfit"), onlineStrategy(t, "online-buckets"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, gen := range gens {
-		for _, g := range []int{2, 3} {
-			for seed := int64(0); seed < 6; seed++ {
-				in := gen(seed, busytime.WorkloadConfig{N: 14, G: g, MaxTime: 120, MaxLen: 30})
-
-				wantSched, wantAlg := busytime.MinBusy(in)
-				res, err := solver.Solve(ctx, busytime.Request{Instance: in})
-				if err != nil {
-					t.Fatalf("%s g=%d seed=%d: %v", name, g, seed, err)
-				}
-				if res.Algorithm != wantAlg {
-					t.Errorf("%s g=%d seed=%d: facade ran %q, Solver ran %q", name, g, seed, wantAlg, res.Algorithm)
-				}
-				if !reflect.DeepEqual(wantSched.Machine, res.Schedule.Machine) {
-					t.Errorf("%s g=%d seed=%d: MinBusy assignments diverge\nfacade: %v\nsolver: %v",
-						name, g, seed, wantSched.Machine, res.Schedule.Machine)
-				}
-
-				budget := in.TotalLen() / 2
-				wantTS, wantTAlg := busytime.MaxThroughput(in, budget)
-				tres, err := solver.Solve(ctx, busytime.Request{Instance: in, Kind: busytime.KindMaxThroughput, Budget: budget})
-				if err != nil {
-					t.Fatalf("%s g=%d seed=%d throughput: %v", name, g, seed, err)
-				}
-				if tres.Algorithm != wantTAlg {
-					t.Errorf("%s g=%d seed=%d: throughput facade ran %q, Solver ran %q", name, g, seed, wantTAlg, tres.Algorithm)
-				}
-				if !reflect.DeepEqual(wantTS.Machine, tres.Schedule.Machine) {
-					t.Errorf("%s g=%d seed=%d: MaxThroughput assignments diverge\nfacade: %v\nsolver: %v",
-						name, g, seed, wantTS.Machine, tres.Schedule.Machine)
-				}
-			}
+	if len(reports) != 3 {
+		t.Fatalf("%d reports, want 3", len(reports))
+	}
+	for _, r := range reports {
+		if !r.HasExact {
+			t.Fatalf("%s: exact oracle skipped on n=12", r.Strategy)
 		}
+		if r.VsExact() < 1.0 {
+			t.Errorf("%s: online beat the optimum: ratio %.3f", r.Strategy, r.VsExact())
+		}
+		if r.VsOffline() <= 0 || r.VsLowerBound() < 1.0 {
+			t.Errorf("%s: degenerate ratios %+v", r.Strategy, r)
+		}
+		if r.ExactCost < r.LowerBound || r.OfflineCost < r.ExactCost {
+			t.Errorf("%s: inconsistent baselines %+v", r.Strategy, r)
+		}
+	}
+	// Larger instances skip the exact oracle but still report.
+	big := busytime.GenerateArrivals(3, busytime.WorkloadConfig{N: 40, G: 2, MaxTime: 200, MaxLen: 25})
+	reports, err = busytime.CompareOnline(big, onlineStrategy(t, "online-firstfit"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reports[0].HasExact || reports[0].VsExact() != 0 {
+		t.Errorf("exact oracle claimed on n=40: %+v", reports[0])
 	}
 }

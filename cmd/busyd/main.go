@@ -31,7 +31,7 @@
 // Usage:
 //
 //	busyd -addr :8080 -workers 0 -max-inflight 64 -max-jobs 10000
-//	busyd -addr :8080 -algo first-fit-fast
+//	busyd -addr :8080 -algo first-fit
 //	busyd -addr :8080 -journal /var/lib/busyd/journal.ndjson
 //
 // With -journal, stream sessions survive a daemon crash: restart busyd

@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	reports, err := online.Compare(in, strategies...)
+	reports, err := busytime.CompareOnline(in, strategies...)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,6 +1,7 @@
 package busytime_test
 
 import (
+	"context"
 	"testing"
 
 	busytime "repro"
@@ -66,6 +67,9 @@ func TestLemma32Erratum(t *testing.T) {
 	}
 
 	const g = 2
+	ctx := context.Background()
+	setCover := busytime.NewSolver(busytime.WithAlgorithm("clique-set-cover"))
+	oracle := busytime.NewSolver(busytime.WithAlgorithm("exact"))
 	claimed := lemma32Bound(g) // 1.2 at g = 2
 	proven := harmonic(g)      // 1.5 at g = 2
 	for _, fam := range families {
@@ -74,18 +78,19 @@ func TestLemma32Erratum(t *testing.T) {
 			if class := busytime.Classify(in.Jobs); class != busytime.ClassClique && class != busytime.ClassProperClique && class != busytime.ClassOneSidedClique {
 				t.Fatalf("%s k=%d: class %s is not a clique; the family is malformed", fam.name, k, class)
 			}
-			sch, err := busytime.CliqueSetCover(in)
+			res, err := setCover.Solve(ctx, busytime.Request{Instance: in})
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", fam.name, k, err)
 			}
+			sch := res.Schedule
 			if err := sch.Validate(); err != nil {
 				t.Fatalf("%s k=%d: invalid schedule: %v", fam.name, k, err)
 			}
-			opt, err := busytime.ExactMinBusy(in)
+			opt, err := oracle.Solve(ctx, busytime.Request{Instance: in})
 			if err != nil {
 				t.Fatalf("%s k=%d: oracle: %v", fam.name, k, err)
 			}
-			cost, optCost := sch.Cost(), opt.Cost()
+			cost, optCost := sch.Cost(), opt.Cost
 			ratio := float64(cost) / float64(optCost)
 
 			// (a) The erratum: the paper's Lemma 3.2 bound is violated.

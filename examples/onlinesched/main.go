@@ -54,12 +54,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt, err := busytime.ExactMinBusy(adv)
+	opt, err := busytime.NewSolver(busytime.WithAlgorithm("exact")).
+		Solve(ctx, busytime.Request{Instance: adv})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("adversarial g=3: firstfit=%d exact=%d ratio=%.3f\n",
-		advRes.Cost, opt.Cost(), float64(advRes.Cost)/float64(opt.Cost()))
+		advRes.Cost, opt.Cost, float64(advRes.Cost)/float64(opt.Cost))
 
 	// Flexible jobs: StartAligned tucks a unit job into the busy period a
 	// long job already pays for.
@@ -67,7 +68,11 @@ func main() {
 		busytime.NewFlexJob(0, 0, 100, 100),
 		busytime.NewFlexJob(1, 10, 200, 5),
 	}
-	fres, err := busytime.ReplayFlexible(2, flex, busytime.StartAligned(), busytime.OnlineFirstFit())
+	firstFit, err := busytime.LookupAlgorithmKind(busytime.KindOnline, "online-firstfit")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fres, err := busytime.ReplayFlexible(2, flex, busytime.StartAligned(), firstFit.NewStrategy())
 	if err != nil {
 		log.Fatal(err)
 	}

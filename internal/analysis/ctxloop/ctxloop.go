@@ -26,7 +26,6 @@ var ScopePrefixes = []string{
 	"repro/internal/setcover",
 	"repro/internal/matching",
 	"repro/internal/localsearch",
-	"repro/internal/dhop",
 	"repro/internal/exact",
 	"repro/internal/online",
 }

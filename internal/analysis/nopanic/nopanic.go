@@ -30,7 +30,6 @@ var Denylisted = map[string]string{
 	"repro/internal/interval.New":                    "panics when end < start; validate and construct interval.Interval directly",
 	"repro/internal/interval.WeightedMaxConcurrency": "panics on mismatched slice lengths; validate lengths first",
 	"repro/internal/online.NewRatioTracker":          "panics when g < 1; use online.NewSession, which validates and errors",
-	"repro/internal/dhop.SegmentCost":                "panics when d < 1; validate the regeneration range first",
 }
 
 // Analyzer is the busylint/nopanic analyzer.

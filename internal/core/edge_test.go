@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	busytime "repro"
 	. "repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/workload"
@@ -150,9 +151,9 @@ func TestMostWeightConsecutiveG1(t *testing.T) {
 	}
 }
 
-func TestThroughputAutoReportsGreedyOnGeneral(t *testing.T) {
+func TestSolverThroughputReportsGreedyOnGeneral(t *testing.T) {
 	in := job.NewInstance(2, [2]int64{0, 10}, [2]int64{2, 5}, [2]int64{100, 120})
-	s, name := ThroughputAuto(in, 50)
+	s, name := solveAuto(t, busytime.Request{Instance: in, Kind: busytime.KindMaxThroughput, Budget: 50})
 	if name != "greedy-throughput" {
 		t.Fatalf("dispatch = %q", name)
 	}

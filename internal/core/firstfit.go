@@ -5,13 +5,15 @@ import (
 	"repro/internal/job"
 )
 
-// FirstFitFast is FirstFit with each machine thread backed by an interval
-// treap (internal/itree), replacing the linear overlap scan with an
-// O(log n) query. It visits threads in the same order with the same
-// tie-breaking as FirstFit, so the two produce identical assignments —
-// a property the test suite checks — while the fast variant wins once
-// threads grow long (see BenchmarkScaleFirstFitFast).
-func FirstFitFast(in job.Instance) Schedule {
+// FirstFit is the 1-D first-fit algorithm of Flammini et al. [13], the
+// prior-work baseline the paper improves upon: sort jobs by non-increasing
+// length and place each on the first thread of the first machine where it
+// fits. It is a 4-approximation for general instances and a
+// 2-approximation for proper and for clique instances [13]. Each machine
+// thread is an interval treap (internal/itree), so an overlap check is an
+// O(log n) query rather than a scan of the thread; the test suite checks
+// that the assignments equal those of the linear-scan reference.
+func FirstFit(in job.Instance) Schedule {
 	s := NewSchedule(in)
 	var machines [][]*itree.Set
 

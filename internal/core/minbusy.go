@@ -24,50 +24,6 @@ func NaivePerJob(in job.Instance) Schedule {
 	return s
 }
 
-// FirstFit is the 1-D first-fit algorithm of Flammini et al. [13], the
-// prior-work baseline the paper improves upon: sort jobs by non-increasing
-// length and place each on the first thread of the first machine where it
-// fits. It is a 4-approximation for general instances and a
-// 2-approximation for proper and for clique instances [13].
-func FirstFit(in job.Instance) Schedule {
-	s := NewSchedule(in)
-	// threads[m][t] holds the end-sorted jobs on thread t of machine m.
-	type thread []int
-	var machines [][]thread
-
-	fits := func(th thread, p int) bool {
-		for _, q := range th {
-			if in.Jobs[q].Overlaps(in.Jobs[p]) {
-				return false
-			}
-		}
-		return true
-	}
-
-	for _, p := range byLenDescOrder(in.Jobs) {
-		placed := false
-		for m := 0; m < len(machines) && !placed; m++ {
-			for t := 0; t < len(machines[m]) && !placed; t++ {
-				if fits(machines[m][t], p) {
-					machines[m][t] = append(machines[m][t], p)
-					s.Assign(p, m)
-					placed = true
-				}
-			}
-			if !placed && len(machines[m]) < in.G {
-				machines[m] = append(machines[m], thread{p})
-				s.Assign(p, m)
-				placed = true
-			}
-		}
-		if !placed {
-			machines = append(machines, []thread{{p}})
-			s.Assign(p, len(machines)-1)
-		}
-	}
-	return s
-}
-
 // OneSidedGreedy solves one-sided clique instances of MinBusy optimally
 // (Observation 3.1): sort the jobs by non-increasing length and fill
 // machines with g jobs each in that order. It returns an error when the
@@ -403,49 +359,6 @@ func FindBestConsecutive(in job.Instance) (Schedule, error) {
 		i -= j
 	}
 	return s, nil
-}
-
-// MinBusyAuto picks the strongest applicable algorithm for the instance
-// class: exact DPs and matchings where the paper gives polynomial exact
-// algorithms, approximation algorithms otherwise. It reports which
-// algorithm ran. Connected components are solved independently (Section 2).
-func MinBusyAuto(in job.Instance) (Schedule, string) {
-	comps := igraph.SplitComponents(in)
-	if len(comps) > 1 {
-		subs := make([]Schedule, len(comps))
-		names := make([]string, len(comps))
-		for i, comp := range comps {
-			subs[i], names[i] = MinBusyAuto(comp)
-		}
-		return MergeComponents(in, comps, subs, names)
-	}
-
-	switch igraph.Classify(in.Jobs) {
-	case igraph.OneSidedClique:
-		s, err := OneSidedGreedy(in)
-		if err == nil {
-			return s, "one-sided-greedy"
-		}
-	case igraph.ProperClique:
-		s, err := FindBestConsecutive(in)
-		if err == nil {
-			return s, "find-best-consecutive"
-		}
-	case igraph.Clique:
-		if in.G == 2 {
-			if s, err := CliqueMatching(in); err == nil {
-				return s, "clique-matching"
-			}
-		}
-		if s, err := CliqueSetCover(in); err == nil {
-			return s, "clique-set-cover"
-		}
-	case igraph.Proper:
-		if s, err := BestCut(in); err == nil {
-			return s, "best-cut"
-		}
-	}
-	return FirstFit(in), "first-fit"
 }
 
 // MergeComponents merges per-component schedules produced on the pieces

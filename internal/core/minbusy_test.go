@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
+	busytime "repro"
 	. "repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/igraph"
@@ -228,7 +230,18 @@ func TestFindBestConsecutiveRejects(t *testing.T) {
 	}
 }
 
-func TestMinBusyAutoDispatch(t *testing.T) {
+// solveAuto runs the Solver's auto dispatch, the only dispatcher, and
+// returns the schedule with the algorithm it reports.
+func solveAuto(t *testing.T, req busytime.Request) (Schedule, string) {
+	t.Helper()
+	res, err := busytime.NewSolver().Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Schedule, res.Algorithm
+}
+
+func TestSolverMinBusyDispatch(t *testing.T) {
 	cases := []struct {
 		in   job.Instance
 		want string
@@ -239,7 +252,7 @@ func TestMinBusyAutoDispatch(t *testing.T) {
 		{job.NewInstance(3, [2]int64{0, 20}, [2]int64{1, 8}, [2]int64{2, 9}), "clique-set-cover"},
 	}
 	for i, c := range cases {
-		s, name := MinBusyAuto(c.in)
+		s, name := solveAuto(t, busytime.Request{Instance: c.in})
 		if name != c.want {
 			t.Errorf("case %d: dispatched to %q, want %q", i, name, c.want)
 		}
@@ -247,12 +260,12 @@ func TestMinBusyAutoDispatch(t *testing.T) {
 	}
 }
 
-func TestMinBusyAutoComponents(t *testing.T) {
+func TestSolverMinBusyComponents(t *testing.T) {
 	// Two far-apart proper cliques: decompose and solve each optimally.
 	in := job.NewInstance(2,
 		[2]int64{0, 10}, [2]int64{5, 15},
 		[2]int64{1000, 1010}, [2]int64{1005, 1015})
-	s, name := MinBusyAuto(in)
+	s, name := solveAuto(t, busytime.Request{Instance: in})
 	mustValid(t, s, true)
 	if opt := optCost(t, in); s.Cost() != opt {
 		t.Errorf("auto %d != opt %d (via %s)", s.Cost(), opt, name)
@@ -262,17 +275,17 @@ func TestMinBusyAutoComponents(t *testing.T) {
 	}
 }
 
-func TestMinBusyAutoGeneralFallsBackToFirstFit(t *testing.T) {
+func TestSolverMinBusyGeneralFallsBackToFirstFit(t *testing.T) {
 	in := job.NewInstance(2, [2]int64{0, 10}, [2]int64{2, 5}, [2]int64{4, 30}, [2]int64{29, 40})
-	s, name := MinBusyAuto(in)
+	s, name := solveAuto(t, busytime.Request{Instance: in})
 	mustValid(t, s, true)
 	if name != "first-fit" {
 		t.Errorf("dispatch = %q", name)
 	}
 }
 
-// MinBusyAuto must never lose to the g-approximation guarantee.
-func TestMinBusyAutoWithinG(t *testing.T) {
+// Auto dispatch must never lose to the g-approximation guarantee.
+func TestSolverMinBusyWithinG(t *testing.T) {
 	gens := []func(int64) job.Instance{
 		func(s int64) job.Instance {
 			return workload.General(s, workload.Config{N: 9, G: 2, MaxTime: 60, MaxLen: 25})
@@ -293,7 +306,7 @@ func TestMinBusyAutoWithinG(t *testing.T) {
 	for gi, gen := range gens {
 		for seed := int64(0); seed < 10; seed++ {
 			in := gen(seed)
-			s, name := MinBusyAuto(in)
+			s, name := solveAuto(t, busytime.Request{Instance: in})
 			mustValid(t, s, true)
 			opt := optCost(t, in)
 			if s.Cost() > int64(in.G)*opt {

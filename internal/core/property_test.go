@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	busytime "repro"
 	. "repro/internal/core"
 	"repro/internal/igraph"
 	"repro/internal/job"
@@ -38,22 +39,22 @@ func randomInstanceOfAnyClass(r *rand.Rand) job.Instance {
 }
 
 // Property: for every class and every total MinBusy algorithm the
-// dispatcher can choose, the returned schedule is valid, total, and its
-// cost lies within the Observation 2.1 bounds.
+// Solver's auto dispatch can choose, the returned schedule is valid,
+// total, and its cost lies within the Observation 2.1 bounds.
 func TestPropertyMinBusyInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := randomInstanceOfAnyClass(r)
 		bounds := BoundsOf(in)
-		s, _ := MinBusyAuto(in)
+		s, _ := solveAuto(t, busytime.Request{Instance: in})
 		if s.Validate() != nil || s.Throughput() != len(in.Jobs) {
 			return false
 		}
 		if !bounds.Contains(s.Cost()) {
 			return false
 		}
-		// FirstFit and FirstFitFast must also respect the bounds.
-		for _, alt := range []Schedule{FirstFit(in), FirstFitFast(in), NaivePerJob(in)} {
+		// FirstFit and NaivePerJob must also respect the bounds.
+		for _, alt := range []Schedule{FirstFit(in), NaivePerJob(in)} {
 			if alt.Validate() != nil || !bounds.Contains(alt.Cost()) {
 				return false
 			}
@@ -65,8 +66,8 @@ func TestPropertyMinBusyInvariants(t *testing.T) {
 	}
 }
 
-// Property: throughput dispatch never exceeds the budget, never schedules
-// more jobs than exist, and is monotone in the budget.
+// Property: the Solver's throughput dispatch never exceeds the budget,
+// never schedules more jobs than exist, and is monotone in the budget.
 func TestPropertyThroughputInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -74,7 +75,7 @@ func TestPropertyThroughputInvariants(t *testing.T) {
 		full := in.TotalLen()
 		prev := -1
 		for _, budget := range []int64{0, full / 4, full / 2, full} {
-			s, _ := ThroughputAuto(in, budget)
+			s, _ := solveAuto(t, busytime.Request{Instance: in, Kind: busytime.KindMaxThroughput, Budget: budget})
 			if s.Validate() != nil || s.Cost() > budget {
 				return false
 			}
@@ -96,7 +97,7 @@ func TestPropertyThroughputInvariants(t *testing.T) {
 		// With budget = len(J) every job fits (the length bound), so exact
 		// algorithms schedule all n and the clique 4-approximation must
 		// reach at least n/4.
-		s, name := ThroughputAuto(in, full)
+		s, name := solveAuto(t, busytime.Request{Instance: in, Kind: busytime.KindMaxThroughput, Budget: full})
 		n := len(in.Jobs)
 		if name == "clique-throughput" {
 			return 4*s.Throughput() >= n
@@ -108,14 +109,14 @@ func TestPropertyThroughputInvariants(t *testing.T) {
 	}
 }
 
-// Property: the dispatcher's reported algorithm always matches the
+// Property: the Solver's reported algorithm always matches the
 // instance class contract: exact algorithms only run on their classes.
 func TestPropertyDispatchContract(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := randomInstanceOfAnyClass(r)
 		comps := igraph.SplitComponents(in)
-		_, name := MinBusyAuto(in)
+		_, name := solveAuto(t, busytime.Request{Instance: in})
 		if len(comps) > 1 {
 			return len(name) > len("components:") && name[:11] == "components:"
 		}

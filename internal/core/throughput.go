@@ -544,12 +544,13 @@ func OneSidedWeightThroughput(in job.Instance, budget int64) (Schedule, error) {
 }
 
 // GreedyThroughput is a budget-respecting heuristic for general instances
-// of MaxThroughput, used as the fallback of ThroughputAuto where the paper
-// gives no algorithm: jobs are offered shortest-first to a FirstFit-style
-// packing, and a job is kept only when the schedule's total cost stays
-// within the budget. It carries no approximation guarantee (the general
-// problem's approximability is one of the paper's open questions); the
-// test suite checks validity and budget compliance only.
+// of MaxThroughput, the general fallback of the registry's auto dispatch
+// where the paper gives no algorithm: jobs are offered shortest-first to
+// a FirstFit-style packing, and a job is kept only when the schedule's
+// total cost stays within the budget. It carries no approximation
+// guarantee (the general problem's approximability is one of the
+// paper's open questions); the test suite checks validity and budget
+// compliance only.
 func GreedyThroughput(in job.Instance, budget int64) Schedule {
 	s := NewSchedule(in)
 	if budget <= 0 {
@@ -616,28 +617,6 @@ func cloneThreads(machines [][][]int) [][][]int {
 		}
 	}
 	return out
-}
-
-// ThroughputAuto dispatches MaxThroughput to the strongest applicable
-// algorithm by instance class: exact solvers where the paper gives them,
-// the 4-approximation on cliques, and GreedyThroughput as the general
-// fallback. It reports which algorithm ran.
-func ThroughputAuto(in job.Instance, budget int64) (Schedule, string) {
-	switch igraph.Classify(in.Jobs) {
-	case igraph.OneSidedClique:
-		if s, err := OneSidedThroughput(in, budget); err == nil {
-			return s, "one-sided-throughput"
-		}
-	case igraph.ProperClique:
-		if s, err := MostThroughputConsecutive(in, budget); err == nil {
-			return s, "most-throughput-consecutive"
-		}
-	case igraph.Clique:
-		if s, err := CliqueThroughput(in, budget); err == nil {
-			return s, "clique-throughput"
-		}
-	}
-	return GreedyThroughput(in, budget), "greedy-throughput"
 }
 
 // MinBusyViaThroughput demonstrates Proposition 2.2: MinBusy reduces to

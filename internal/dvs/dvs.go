@@ -47,7 +47,8 @@ type Point struct {
 }
 
 // Sweep evaluates the busy time and energy across the given speeds using
-// the solve callback (typically core.MinBusyAuto).
+// the solve callback (typically a Solver's auto dispatch, as in
+// examples/energy).
 func Sweep(in job.Instance, alpha float64, sigmas []float64, solve func(job.Instance) core.Schedule) ([]Point, error) {
 	pts := make([]Point, 0, len(sigmas))
 	for _, sigma := range sigmas {

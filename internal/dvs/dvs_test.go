@@ -8,11 +8,6 @@ import (
 	"repro/internal/workload"
 )
 
-func autoSolve(in job.Instance) core.Schedule {
-	s, _ := core.MinBusyAuto(in)
-	return s
-}
-
 func TestScaleInstanceShrinksJobs(t *testing.T) {
 	in := job.NewInstance(2, [2]int64{0, 10}, [2]int64{5, 8})
 	out, err := ScaleInstance(in, 2)
@@ -53,7 +48,7 @@ func TestScaleInstanceRejectsSlowdown(t *testing.T) {
 
 func TestSweepBusyNonIncreasing(t *testing.T) {
 	in := workload.General(9, workload.Config{N: 25, G: 3, MaxTime: 150, MaxLen: 50})
-	pts, err := Sweep(in, 3, []float64{1, 1.5, 2, 3, 5}, autoSolve)
+	pts, err := Sweep(in, 3, []float64{1, 1.5, 2, 3, 5}, core.FirstFit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +67,7 @@ func TestSweepBusyNonIncreasing(t *testing.T) {
 func TestBestSpeedNearFineSweep(t *testing.T) {
 	in := workload.General(4, workload.Config{N: 20, G: 2, MaxTime: 120, MaxLen: 40})
 	const alpha = 3
-	best, err := BestSpeed(in, alpha, 4, 0.01, autoSolve)
+	best, err := BestSpeed(in, alpha, 4, 0.01, core.FirstFit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +76,7 @@ func TestBestSpeedNearFineSweep(t *testing.T) {
 	for s := 1.0; s <= 4.0; s += 0.05 {
 		sigmas = append(sigmas, s)
 	}
-	pts, err := Sweep(in, alpha, sigmas, autoSolve)
+	pts, err := Sweep(in, alpha, sigmas, core.FirstFit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +95,7 @@ func TestBestSpeedNearFineSweep(t *testing.T) {
 }
 
 func TestBestSpeedRejectsBadMax(t *testing.T) {
-	if _, err := BestSpeed(job.NewInstance(1, [2]int64{0, 5}), 3, 0.5, 0.01, autoSolve); err == nil {
+	if _, err := BestSpeed(job.NewInstance(1, [2]int64{0, 5}), 3, 0.5, 0.01, core.FirstFit); err == nil {
 		t.Fatal("accepted maxSigma < 1")
 	}
 }
@@ -108,11 +103,11 @@ func TestBestSpeedRejectsBadMax(t *testing.T) {
 // With alpha large, running faster is never worth it: best speed ~ 1.
 func TestBestSpeedHighAlphaStaysSlow(t *testing.T) {
 	in := workload.General(2, workload.Config{N: 15, G: 2, MaxTime: 100, MaxLen: 30})
-	best, err := BestSpeed(in, 10, 4, 0.01, autoSolve)
+	best, err := BestSpeed(in, 10, 4, 0.01, core.FirstFit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Sweep(in, 10, []float64{1}, autoSolve)
+	base, err := Sweep(in, 10, []float64{1}, core.FirstFit)
 	if err != nil {
 		t.Fatal(err)
 	}

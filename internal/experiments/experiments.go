@@ -67,6 +67,16 @@ func mustMinBusy(name string) func(job.Instance) core.Schedule {
 	}
 }
 
+// autoMinBusy is the Solver's MinBusy auto dispatch, the schedule an
+// unpinned request gets.
+func autoMinBusy(in job.Instance) core.Schedule {
+	res, err := busytime.NewSolver().Solve(context.Background(), busytime.Request{Instance: in})
+	if err != nil {
+		panic(err)
+	}
+	return res.Schedule
+}
+
 // throughputSolve resolves a registered MaxThroughput algorithm's hook.
 func throughputSolve(name string) func(job.Instance, int64) (core.Schedule, error) {
 	alg, err := registry.LookupKind(registry.MaxThroughput, name)
@@ -405,7 +415,7 @@ func E9(seeds int) Result {
 	algs := []alg{
 		{"naive-per-job", mustMinBusy("naive-per-job")},
 		{"first-fit", mustMinBusy("first-fit")},
-		{"auto", func(in job.Instance) core.Schedule { s, _ := core.MinBusyAuto(in); return s }},
+		{"auto", autoMinBusy},
 	}
 	for _, a := range algs {
 		var vsLB, vsGOpt []float64
@@ -690,7 +700,7 @@ func E15(seeds int) Result {
 	}
 	starters := []starter{
 		{"first-fit", mustMinBusy("first-fit")},
-		{"auto", func(in job.Instance) core.Schedule { s, _ := core.MinBusyAuto(in); return s }},
+		{"auto", autoMinBusy},
 		{"naive", mustMinBusy("naive-per-job")},
 	}
 	for _, st := range starters {

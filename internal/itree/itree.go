@@ -2,10 +2,10 @@
 // O(log n) insertion and O(log n) overlap queries against half-open
 // intervals whose members are pairwise non-overlapping.
 //
-// It is the data structure behind core.FirstFitFast: each machine thread
+// It is the data structure behind core.FirstFit: each machine thread
 // holds pairwise non-overlapping jobs, so "does job J overlap anything on
 // this thread?" reduces to a predecessor/successor check in a balanced
-// search tree keyed by start time. The naive FirstFit scans the whole
+// search tree keyed by start time. A plain job list would scan the whole
 // thread (O(thread length) per check); this brings a thread check to
 // O(log n) and the whole algorithm to O(n·m·g·log n) worst case with much
 // better constants in practice.

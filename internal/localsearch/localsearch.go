@@ -11,7 +11,6 @@ package localsearch
 import (
 	"repro/internal/core"
 	"repro/internal/interval"
-	"repro/internal/job"
 )
 
 // Improve hill-climbs from the given schedule and returns a locally
@@ -127,11 +126,4 @@ func Improve(s core.Schedule, maxRounds int) core.Schedule {
 		}
 	}
 	return out.CompactMachines()
-}
-
-// ImproveInstance is a convenience wrapper: run the auto dispatcher, then
-// local search.
-func ImproveInstance(in job.Instance, maxRounds int) core.Schedule {
-	s, _ := core.MinBusyAuto(in)
-	return Improve(s, maxRounds)
 }

@@ -83,15 +83,3 @@ func TestImproveEmpty(t *testing.T) {
 		t.Fatal("empty schedule mangled")
 	}
 }
-
-func TestImproveInstance(t *testing.T) {
-	in := workload.Lightpaths(2, workload.Config{N: 25, G: 3, MaxTime: 200, MaxLen: 60})
-	auto, _ := core.MinBusyAuto(in)
-	improved := ImproveInstance(in, 0)
-	if improved.Cost() > auto.Cost() {
-		t.Errorf("ImproveInstance worsened: %d > %d", improved.Cost(), auto.Cost())
-	}
-	if err := improved.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -20,7 +20,7 @@
 // Strategies are pure placement policies over the currently-open machines.
 //
 // Machine threads are backed by interval treaps (internal/itree), the same
-// structure behind core.FirstFitFast, so a fit check against an open
+// structure behind core.FirstFit, so a fit check against an open
 // machine costs O(g log n).
 package online
 

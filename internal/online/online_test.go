@@ -278,40 +278,6 @@ func TestAdversarialFirstFitScales(t *testing.T) {
 	}
 }
 
-func TestCompareReports(t *testing.T) {
-	in := workload.Arrivals(3, workload.Config{N: 12, G: 2, MaxTime: 80, MaxLen: 25})
-	reports, err := Compare(in, strategies()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 3 {
-		t.Fatalf("%d reports, want 3", len(reports))
-	}
-	for _, r := range reports {
-		if !r.HasExact {
-			t.Fatalf("%s: exact oracle skipped on n=12", r.Strategy)
-		}
-		if r.VsExact() < 1.0 {
-			t.Errorf("%s: online beat the optimum: ratio %.3f", r.Strategy, r.VsExact())
-		}
-		if r.VsOffline() <= 0 || r.VsLowerBound() < 1.0 {
-			t.Errorf("%s: degenerate ratios %+v", r.Strategy, r)
-		}
-		if r.ExactCost < r.LowerBound || r.OfflineCost < r.ExactCost {
-			t.Errorf("%s: inconsistent baselines %+v", r.Strategy, r)
-		}
-	}
-	// Larger instances skip the exact oracle but still report.
-	big := workload.Arrivals(3, workload.Config{N: 40, G: 2, MaxTime: 200, MaxLen: 25})
-	reports, err = Compare(big, FirstFit())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reports[0].HasExact || reports[0].VsExact() != 0 {
-		t.Errorf("exact oracle claimed on n=40: %+v", reports[0])
-	}
-}
-
 func TestReplayRejectsInvalidInstance(t *testing.T) {
 	if _, err := Replay(job.Instance{G: 0}, FirstFit()); err == nil {
 		t.Error("g=0 accepted")

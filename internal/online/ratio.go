@@ -1,14 +1,10 @@
 package online
 
-import (
-	"repro/internal/core"
-	"repro/internal/exact"
-	"repro/internal/job"
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // Report is one strategy's empirical competitive-ratio measurement against
-// the offline algorithms on a single instance.
+// the offline algorithms on a single instance, as built by the root
+// package's CompareOnline.
 type Report struct {
 	// Strategy names the online policy.
 	Strategy string `json:"strategy"`
@@ -18,8 +14,9 @@ type Report struct {
 	Machines int   `json:"machines"`
 	PeakOpen int   `json:"peak_open"`
 	Rejected int   `json:"rejected,omitempty"`
-	// OfflineCost is core.MinBusyAuto's cost and OfflineAlg its algorithm
-	// name — the strongest polynomial offline baseline for the class.
+	// OfflineCost is the cost of the Solver's offline auto dispatch and
+	// OfflineAlg its algorithm name — the strongest polynomial offline
+	// baseline for the class.
 	OfflineCost int64  `json:"offline_cost"`
 	OfflineAlg  string `json:"offline_alg"`
 	// ExactCost is exact.MinBusy's optimum; HasExact is false when the
@@ -45,47 +42,3 @@ func (r Report) VsExact() float64 {
 // VsLowerBound returns the ratio against the Observation 2.1 lower bound —
 // an upper bound on the true competitive ratio, available at any size.
 func (r Report) VsLowerBound() float64 { return stats.Ratio(r.Cost, r.LowerBound) }
-
-// Compare replays the instance through each strategy and reports each
-// run's cost against core.MinBusyAuto, the Observation 2.1 lower bound,
-// and — when the instance is small enough for the subset-DP oracle —
-// exact.MinBusy. It is the harness behind the competitive-ratio
-// experiments and cmd/onlinesim.
-func Compare(in job.Instance, strategies ...Strategy) ([]Report, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	offline, offlineAlg := core.MinBusyAuto(in)
-	offlineCost := offline.Cost()
-	var exactCost int64
-	hasExact := false
-	if len(in.Jobs) <= exact.MaxN {
-		s, err := exact.MinBusy(in)
-		if err != nil {
-			return nil, err
-		}
-		exactCost, hasExact = s.Cost(), true
-	}
-	lb := in.LowerBound()
-
-	reports := make([]Report, 0, len(strategies))
-	for _, st := range strategies {
-		res, err := Replay(in, st)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, Report{
-			Strategy:    res.Strategy,
-			Cost:        res.Cost,
-			Machines:    res.MachinesOpened,
-			PeakOpen:    res.PeakOpen,
-			Rejected:    res.Rejected,
-			OfflineCost: offlineCost,
-			OfflineAlg:  offlineAlg,
-			ExactCost:   exactCost,
-			HasExact:    hasExact,
-			LowerBound:  lb,
-		})
-	}
-	return reports, nil
-}

@@ -40,7 +40,7 @@ func TestMachineEnergyEmpty(t *testing.T) {
 
 func TestScheduleEnergyZeroWakeEqualsCost(t *testing.T) {
 	in := workload.General(3, workload.Config{N: 12, G: 3, MaxTime: 80, MaxLen: 25})
-	s, _ := core.MinBusyAuto(in)
+	s := core.FirstFit(in)
 	if got := ScheduleEnergy(s, 0); got != s.Cost() {
 		t.Errorf("zero-wake energy %d != cost %d", got, s.Cost())
 	}

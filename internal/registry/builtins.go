@@ -38,10 +38,10 @@ var (
 	cliqueThroughputRatio = func(int) float64 { return 4 }
 )
 
-// The built-in algorithm catalogue. Canonical names match the names the
-// auto dispatchers have always reported; aliases cover the historical
-// CLI spellings so existing invocations keep working. Strengths encode
-// the dispatch preference of MinBusyAuto/ThroughputAuto: exact
+// The built-in algorithm catalogue. Canonical names are the names auto
+// dispatch reports; aliases cover the historical CLI spellings so
+// existing invocations keep working. Strengths encode the dispatch
+// preference the Solver's auto dispatch walks (ForAll): exact
 // class-specific algorithms above approximations above baselines.
 func init() {
 	minBusy := func(fn func(job.Instance) core.Schedule) func(context.Context, job.Instance) (core.Schedule, error) {
@@ -62,13 +62,7 @@ func init() {
 		SolveMinBusy: minBusy(core.NaivePerJob),
 	})
 	MustRegister(Algorithm{
-		Name: "first-fit-fast", Aliases: []string{"firstfitfast"}, Kind: MinBusy,
-		Classes:   []igraph.Class{igraph.General},
-		Guarantee: "4 (2 on proper and clique)", Ratio: firstFitRatio, Ref: "Flammini et al. [13], treap threads", Strength: 5,
-		SolveMinBusy: minBusy(core.FirstFitFast),
-	})
-	MustRegister(Algorithm{
-		Name: "first-fit", Aliases: []string{"firstfit", "ff"}, Kind: MinBusy,
+		Name: "first-fit", Aliases: []string{"firstfit", "ff", "first-fit-fast", "firstfitfast"}, Kind: MinBusy,
 		Classes:   []igraph.Class{igraph.General},
 		Guarantee: "4 (2 on proper and clique)", Ratio: firstFitRatio, Ref: "Flammini et al. [13]", Strength: 10,
 		SolveMinBusy: minBusy(core.FirstFit),

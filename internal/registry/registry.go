@@ -61,9 +61,8 @@ func (k Kind) String() string {
 // drives dispatch and documentation, and exactly one solve hook matching
 // its Kind.
 type Algorithm struct {
-	// Name is the canonical, globally unique algorithm name. It equals
-	// the name the auto dispatchers historically reported (e.g.
-	// "find-best-consecutive"), so results stay comparable across PRs.
+	// Name is the canonical, globally unique algorithm name, the one
+	// auto dispatch reports (e.g. "find-best-consecutive").
 	Name string
 	// Aliases are alternate names accepted by LookupKind — the short CLI
 	// spellings ("consecutive", "ff2d"). Aliases are unique per kind but
@@ -299,9 +298,9 @@ func LookupKind(kind Kind, name string) (Algorithm, error) {
 }
 
 // For returns the strongest registered algorithm applicable to the
-// detected instance class, excluding exponential oracles. It mirrors the
-// choice MinBusyAuto/ThroughputAuto make on instances where their first
-// choice applies unconditionally.
+// detected instance class, excluding exponential oracles: the head of
+// the ForAll chain, which auto dispatch runs whenever it accepts the
+// instance.
 func For(kind Kind, class igraph.Class) (Algorithm, error) {
 	chain := ForAll(kind, class)
 	if len(chain) == 0 {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/igraph"
 	"repro/internal/job"
 	"repro/internal/registry"
-	"repro/internal/workload"
 )
 
 // TestRegistryRoundTrip checks that every registered algorithm resolves
@@ -111,7 +110,7 @@ func TestRegistryForAllChain(t *testing.T) {
 		}
 		names = append(names, a.Name)
 	}
-	want := []string{"clique-matching", "clique-set-cover", "first-fit", "first-fit-fast", "naive-per-job"}
+	want := []string{"clique-matching", "clique-set-cover", "first-fit", "naive-per-job"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("clique chain = %v, want %v", names, want)
 	}
@@ -125,71 +124,6 @@ func TestRegistryForAllChain(t *testing.T) {
 		for _, c := range a.Classes {
 			if c != igraph.General {
 				t.Errorf("class-restricted %q offered for a general instance", a.Name)
-			}
-		}
-	}
-}
-
-// TestRegistryForMatchesAutoDispatch verifies on randomized connected
-// instances that walking the registry chain reproduces exactly the
-// algorithm core.MinBusyAuto / core.ThroughputAuto chose.
-func TestRegistryForMatchesAutoDispatch(t *testing.T) {
-	ctx := context.Background()
-	type gen struct {
-		name string
-		make func(seed int64, g int) job.Instance
-	}
-	cfgFor := func(g int) workload.Config {
-		return workload.Config{N: 12, G: g, MaxTime: 120, MaxLen: 40}
-	}
-	cases := []gen{
-		{"general", func(seed int64, g int) job.Instance { return workload.General(seed, cfgFor(g)) }},
-		{"proper", func(seed int64, g int) job.Instance { return workload.Proper(seed, cfgFor(g)) }},
-		{"clique", func(seed int64, g int) job.Instance { return workload.Clique(seed, cfgFor(g)) }},
-		{"proper-clique", func(seed int64, g int) job.Instance { return workload.ProperClique(seed, cfgFor(g)) }},
-		{"one-sided", func(seed int64, g int) job.Instance { return workload.OneSided(seed, cfgFor(g), true) }},
-	}
-	for _, c := range cases {
-		for _, g := range []int{2, 3} {
-			for seed := int64(0); seed < 10; seed++ {
-				in := c.make(seed, g)
-				if len(igraph.SplitComponents(in)) > 1 {
-					continue // component merging is the Solver's job
-				}
-				class := igraph.Classify(in.Jobs)
-
-				wantSched, wantName := core.MinBusyAuto(in)
-				gotName := ""
-				var gotCost int64
-				for _, alg := range registry.ForAll(registry.MinBusy, class) {
-					if s, err := alg.SolveMinBusy(ctx, in); err == nil {
-						gotName, gotCost = alg.Name, s.Cost()
-						break
-					}
-				}
-				if gotName != wantName {
-					t.Errorf("%s g=%d seed=%d: chain chose %q, auto chose %q", c.name, g, seed, gotName, wantName)
-				}
-				if gotCost != wantSched.Cost() {
-					t.Errorf("%s g=%d seed=%d: chain cost %d, auto cost %d", c.name, g, seed, gotCost, wantSched.Cost())
-				}
-
-				budget := in.TotalLen() / 2
-				wantTS, wantTName := core.ThroughputAuto(in, budget)
-				gotTName := ""
-				var gotTput int
-				for _, alg := range registry.ForAll(registry.MaxThroughput, class) {
-					if s, err := alg.SolveThroughput(ctx, in, budget); err == nil {
-						gotTName, gotTput = alg.Name, s.Throughput()
-						break
-					}
-				}
-				if gotTName != wantTName {
-					t.Errorf("%s g=%d seed=%d: throughput chain chose %q, auto chose %q", c.name, g, seed, gotTName, wantTName)
-				}
-				if gotTput != wantTS.Throughput() {
-					t.Errorf("%s g=%d seed=%d: throughput chain scheduled %d, auto %d", c.name, g, seed, gotTput, wantTS.Throughput())
-				}
 			}
 		}
 	}

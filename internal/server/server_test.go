@@ -555,6 +555,47 @@ func TestServerBatchAlgorithmOverride(t *testing.T) {
 	}
 }
 
+// TestServerFirstFitAliases pins first-fit-fast as an alias of
+// first-fit: both old spellings resolve to first-fit, and a batch that
+// pins the old name reports first-fit, in its results and in the
+// algorithm label of the latency histograms.
+func TestServerFirstFitAliases(t *testing.T) {
+	for _, name := range []string{"first-fit-fast", "firstfitfast"} {
+		info, err := busytime.LookupAlgorithmKind(busytime.KindMinBusy, name)
+		if err != nil || info.Name != "first-fit" {
+			t.Errorf("%s resolves to %q (%v), want first-fit", name, info.Name, err)
+		}
+	}
+	ts := newTestServer(t, Config{})
+	batch := BatchRequest{Algorithm: "first-fit-fast", Requests: []Request{
+		{Instance: properInstance(1, 10)},
+	}}
+	resp, body := postJSON(t, ts.URL+"/v1/solve/batch", batch)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var out BatchResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Results[0].Algorithm != "first-fit" {
+		t.Fatalf("algorithm %q, want first-fit", out.Results[0].Algorithm)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	metrics, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), `busyd_batch_latency_seconds_count{algorithm="first-fit"}`) ||
+		strings.Contains(string(metrics), "first-fit-fast") {
+		t.Errorf("latency histograms not labelled first-fit:\n%s", metrics)
+	}
+}
+
 // TestServerPerRequestDeadline gives a slow exact request a tiny
 // timeout_ms inside a healthy batch: it must fail alone.
 func TestServerPerRequestDeadline(t *testing.T) {

@@ -118,7 +118,9 @@ func (s Schedule) Machines() int {
 }
 
 // Validate checks capacity: no machine may carry more than G overlapping
-// jobs at any (position, time) point.
+// jobs at any (position, time) point. Of several overloaded machines it
+// reports the lowest-numbered, so the same schedule always gives the
+// same error.
 func (s Schedule) Validate() error {
 	if len(s.Machine) != len(s.Instance.Jobs) {
 		return fmt.Errorf("ring: schedule covers %d jobs, instance has %d", len(s.Machine), len(s.Instance.Jobs))
@@ -130,7 +132,11 @@ func (s Schedule) Validate() error {
 		}
 		groups[m] = append(groups[m], i)
 	}
+	bad, badLoad := -1, 0
 	for m, members := range groups {
+		if bad >= 0 && m > bad {
+			continue
+		}
 		var rs []rect.Rect
 		for _, i := range members {
 			rs = append(rs, s.Instance.unroll(s.Instance.Jobs[i])...)
@@ -139,8 +145,11 @@ func (s Schedule) Validate() error {
 		// overlap each other, so rectangle concurrency equals job
 		// concurrency.
 		if c := rect.MaxConcurrency(rs); c > s.Instance.G {
-			return fmt.Errorf("ring: machine %d concurrency %d > g = %d", m, c, s.Instance.G)
+			bad, badLoad = m, c
 		}
+	}
+	if bad >= 0 {
+		return fmt.Errorf("ring: machine %d concurrency %d > g = %d", bad, badLoad, s.Instance.G)
 	}
 	return nil
 }

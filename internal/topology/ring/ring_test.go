@@ -25,6 +25,27 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateErrorIsDeterministic overloads eight machines, machine m
+// with m+2 overlapping jobs, so each would give its own error text:
+// every call must report the lowest-numbered one.
+func TestValidateErrorIsDeterministic(t *testing.T) {
+	in := Instance{C: 100, G: 1}
+	var machines []int
+	for m := 0; m < 8; m++ {
+		for k := 0; k < m+2; k++ {
+			in.Jobs = append(in.Jobs, Job{ID: len(in.Jobs), Arc: Arc{0, 10}, TStart: int64(100 * m), TEnd: int64(100*m + 10)})
+			machines = append(machines, m)
+		}
+	}
+	s := Schedule{Instance: in, Machine: machines}
+	const want = "ring: machine 0 concurrency 2 > g = 1"
+	for call := 0; call < 50; call++ {
+		if err := s.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate() = %v, want %q", call, err, want)
+		}
+	}
+}
+
 func TestWrapAroundOverlap(t *testing.T) {
 	in := Instance{C: 100, G: 1, Jobs: []Job{
 		{ID: 0, Arc: Arc{90, 20}, TStart: 0, TEnd: 10}, // wraps: [90,100)+[0,10)

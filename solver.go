@@ -273,11 +273,12 @@ func ResultOf(algorithm string, s Schedule) Result {
 	return res
 }
 
-// Solver executes Requests. The zero value auto-dispatches like
-// MinBusy/MaxThroughput always have; options pin a named algorithm,
-// set a default budget, enable local-search post-optimization, route
-// small instances to the exact oracle, solve connected components in
-// parallel, or keep a reoptimization cache of prior solves. A Solver's
+// Solver executes Requests. The zero value auto-dispatches: it walks the
+// registry from the strongest algorithm for the detected instance class
+// down to the first that accepts the instance. Options pin a named
+// algorithm, set a default budget, enable local-search post-optimization,
+// route small instances to the exact oracle, solve connected components
+// in parallel, or keep a reoptimization cache of prior solves. A Solver's
 // configuration is immutable after construction and it is safe for
 // concurrent use (the reoptimization cache is internally locked).
 type Solver struct {
@@ -769,9 +770,9 @@ func (s *Solver) solveMinBusy(ctx context.Context, in Instance, class Class) (Sc
 }
 
 // runMinBusyChain walks the registry's fallback chain for the
-// component's class and returns the first schedule produced — exactly
-// the dispatch order of core.MinBusyAuto, now derived from registered
-// strengths instead of a switch.
+// component's class, strongest first, and returns the first schedule
+// produced: the MinBusy auto dispatch of Sections 3–4, with first-fit as
+// the general fallback.
 func runMinBusyChain(ctx context.Context, in Instance, class Class) (Schedule, string, error) {
 	for _, alg := range registry.ForAll(registry.MinBusy, class) {
 		if err := ctx.Err(); err != nil {

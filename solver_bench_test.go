@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	busytime "repro"
+	"repro/internal/core"
 )
 
 // BenchmarkSolverDispatch measures the full Solver path — registry
-// lookup, class dispatch, result assembly — against the direct facade
-// call it replaced. CI tracks this pair: the Solver's overhead must stay
-// within noise of the direct call, since dispatch runs once per request
-// while the algorithm dominates.
+// lookup, class dispatch, result assembly — against calling the
+// algorithm it dispatches to directly. CI tracks this pair: the Solver's
+// overhead must stay within noise of the direct call, since dispatch
+// runs once per request while the algorithm dominates.
 func BenchmarkSolverDispatch(b *testing.B) {
 	in := busytime.GenerateProper(1, busytime.WorkloadConfig{N: 200, G: 4, MaxTime: 2000, MaxLen: 100})
 	solver := busytime.NewSolver()
@@ -28,13 +29,18 @@ func BenchmarkSolverDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverDispatchDirect is the baseline: the deprecated MinBusy
-// wrapper calling core dispatch with no registry or Result assembly.
+// BenchmarkSolverDispatchDirect is the baseline: core.BestCut, the
+// algorithm auto dispatch picks for proper components, called once on the
+// whole proper instance with no classification, component split,
+// registry or Result assembly.
 func BenchmarkSolverDispatchDirect(b *testing.B) {
 	in := busytime.GenerateProper(1, busytime.WorkloadConfig{N: 200, G: 4, MaxTime: 2000, MaxLen: 100})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, _ := busytime.MinBusy(in)
+		s, err := core.BestCut(in)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if s.Cost() == 0 {
 			b.Fatal("zero cost")
 		}

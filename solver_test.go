@@ -3,16 +3,21 @@ package busytime_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	busytime "repro"
+	"repro/internal/core"
+	"repro/internal/online"
 )
 
 // TestRegistrySolverAutoMatchesMinBusy checks that the Solver's
-// registry-driven auto dispatch reproduces the deprecated MinBusy
-// wrapper — algorithm name and cost — on randomized instances of every
-// class, including disconnected ones (the "components:" merge path).
+// registry-driven auto dispatch matches pinning the algorithm it reports:
+// on connected instances of every class, Solve and
+// Solve(WithAlgorithm(res.Algorithm)) give the same machine assignment.
+// A disconnected instance reports the "components:" merge, whose parts
+// must each be a registered MinBusy algorithm.
 func TestRegistrySolverAutoMatchesMinBusy(t *testing.T) {
 	ctx := context.Background()
 	solver := busytime.NewSolver()
@@ -21,32 +26,50 @@ func TestRegistrySolverAutoMatchesMinBusy(t *testing.T) {
 		"proper":        busytime.GenerateProper,
 		"clique":        busytime.GenerateClique,
 		"proper-clique": busytime.GenerateProperClique,
+		"one-sided": func(seed int64, cfg busytime.WorkloadConfig) busytime.Instance {
+			return busytime.GenerateOneSided(seed, cfg, seed%2 == 0)
+		},
+		"cloud": busytime.GenerateCloud,
 	}
 	for name, gen := range gens {
-		for seed := int64(0); seed < 12; seed++ {
-			in := gen(seed, busytime.WorkloadConfig{N: 14, G: 3, MaxTime: 150, MaxLen: 40})
-			res, err := solver.Solve(ctx, busytime.Request{Instance: in})
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", name, seed, err)
-			}
-			wantSched, wantAlg := busytime.MinBusy(in)
-			if res.Algorithm != wantAlg {
-				t.Errorf("%s seed %d: solver chose %q, MinBusy chose %q", name, seed, res.Algorithm, wantAlg)
-			}
-			if res.Cost != wantSched.Cost() {
-				t.Errorf("%s seed %d: solver cost %d, MinBusy cost %d", name, seed, res.Cost, wantSched.Cost())
-			}
-			if res.Scheduled != len(in.Jobs) {
-				t.Errorf("%s seed %d: %d/%d scheduled", name, seed, res.Scheduled, len(in.Jobs))
-			}
-			if err := res.Certificate(); err != nil {
-				t.Errorf("%s seed %d: certificate: %v", name, seed, err)
+		for _, g := range []int{2, 3} {
+			for seed := int64(0); seed < 12; seed++ {
+				in := gen(seed, busytime.WorkloadConfig{N: 14, G: g, MaxTime: 150, MaxLen: 40})
+				res, err := solver.Solve(ctx, busytime.Request{Instance: in})
+				if err != nil {
+					t.Fatalf("%s g=%d seed=%d: %v", name, g, seed, err)
+				}
+				if res.Scheduled != len(in.Jobs) {
+					t.Errorf("%s g=%d seed=%d: %d/%d scheduled", name, g, seed, res.Scheduled, len(in.Jobs))
+				}
+				if err := res.Certificate(); err != nil {
+					t.Errorf("%s g=%d seed=%d: certificate: %v", name, g, seed, err)
+				}
+				if parts, ok := strings.CutPrefix(res.Algorithm, "components:"); ok {
+					for _, part := range strings.Split(parts, "+") {
+						if _, err := busytime.LookupAlgorithmKind(busytime.KindMinBusy, part); err != nil {
+							t.Errorf("%s g=%d seed=%d: merged %q: %v", name, g, seed, res.Algorithm, err)
+						}
+					}
+					continue
+				}
+				pinned, err := busytime.NewSolver(busytime.WithAlgorithm(res.Algorithm)).
+					Solve(ctx, busytime.Request{Instance: in})
+				if err != nil {
+					t.Fatalf("%s g=%d seed=%d: pinned %s: %v", name, g, seed, res.Algorithm, err)
+				}
+				if pinned.Algorithm != res.Algorithm || !reflect.DeepEqual(pinned.Schedule.Machine, res.Schedule.Machine) {
+					t.Errorf("%s g=%d seed=%d: auto %s diverges from pinned %s\nauto:   %v\npinned: %v",
+						name, g, seed, res.Algorithm, pinned.Algorithm, res.Schedule.Machine, pinned.Schedule.Machine)
+				}
 			}
 		}
 	}
 }
 
-// TestRegistrySolverAutoMatchesThroughput is the MaxThroughput analogue.
+// TestRegistrySolverAutoMatchesThroughput is the MaxThroughput analogue:
+// auto dispatch (which never splits components) matches pinning the
+// algorithm it reports.
 func TestRegistrySolverAutoMatchesThroughput(t *testing.T) {
 	ctx := context.Background()
 	solver := busytime.NewSolver()
@@ -59,18 +82,17 @@ func TestRegistrySolverAutoMatchesThroughput(t *testing.T) {
 			if budget == 0 {
 				continue
 			}
-			res, err := solver.Solve(ctx, busytime.Request{
-				Instance: in, Kind: busytime.KindMaxThroughput, Budget: budget,
-			})
+			req := busytime.Request{Instance: in, Kind: busytime.KindMaxThroughput, Budget: budget}
+			res, err := solver.Solve(ctx, req)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			wantSched, wantAlg := busytime.MaxThroughput(in, budget)
-			if res.Algorithm != wantAlg {
-				t.Errorf("seed %d: solver chose %q, MaxThroughput chose %q", seed, res.Algorithm, wantAlg)
+			pinned, err := busytime.NewSolver(busytime.WithAlgorithm(res.Algorithm)).Solve(ctx, req)
+			if err != nil {
+				t.Fatalf("seed %d: pinned %s: %v", seed, res.Algorithm, err)
 			}
-			if res.Scheduled != wantSched.Throughput() {
-				t.Errorf("seed %d: solver scheduled %d, MaxThroughput %d", seed, res.Scheduled, wantSched.Throughput())
+			if pinned.Algorithm != res.Algorithm || !reflect.DeepEqual(pinned.Schedule.Machine, res.Schedule.Machine) {
+				t.Errorf("seed %d: auto %s diverges from pinned %s", seed, res.Algorithm, pinned.Algorithm)
 			}
 			if res.Cost > budget {
 				t.Errorf("seed %d: cost %d over budget %d", seed, res.Cost, budget)
@@ -147,9 +169,12 @@ func TestRegistrySolverExactThreshold(t *testing.T) {
 	if res.Algorithm != "exact" {
 		t.Fatalf("algorithm = %q, want exact", res.Algorithm)
 	}
-	auto, _ := busytime.MinBusy(in)
-	if res.Cost > auto.Cost() {
-		t.Errorf("exact cost %d worse than auto %d", res.Cost, auto.Cost())
+	auto, err := busytime.NewSolver().Solve(ctx, busytime.Request{Instance: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cost > auto.Cost {
+		t.Errorf("exact cost %d worse than auto %d", res.Cost, auto.Cost)
 	}
 	if err := res.Certificate(); err != nil {
 		t.Error(err)
@@ -206,10 +231,6 @@ func TestRegistrySolverParallelism(t *testing.T) {
 		t.Errorf("parallel solve diverged: %q/%d/%d vs %q/%d/%d",
 			seq.Algorithm, seq.Cost, seq.Machines, par.Algorithm, par.Cost, par.Machines)
 	}
-	wantSched, wantAlg := busytime.MinBusy(in)
-	if seq.Algorithm != wantAlg || seq.Cost != wantSched.Cost() {
-		t.Errorf("solver %q/%d, MinBusy %q/%d", seq.Algorithm, seq.Cost, wantAlg, wantSched.Cost())
-	}
 	if err := par.Certificate(); err != nil {
 		t.Error(err)
 	}
@@ -225,7 +246,7 @@ func TestRegistrySolverOnline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := busytime.ReplayOnline(in, busytime.OnlineFirstFit())
+	direct, err := online.Replay(in, online.FirstFit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +290,7 @@ func TestRegistrySolverOnlineBudgeted(t *testing.T) {
 	if res.RatioVsBound < 1 {
 		t.Errorf("ratio vs bound %.4f < 1: lower bound not restricted to admitted arrivals", res.RatioVsBound)
 	}
-	direct, err := busytime.ReplayOnline(in, busytime.OnlineBudgeted(budget))
+	direct, err := online.Replay(in, online.Budgeted(budget))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +330,7 @@ func TestRegistrySolverRect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := busytime.FirstFit2D(in)
+	direct := core.FirstFit2D(in)
 	if named.Cost != direct.Cost() {
 		t.Errorf("named 2-D cost %d, direct %d", named.Cost, direct.Cost())
 	}
@@ -403,12 +424,15 @@ func TestRegistryFacadeViews(t *testing.T) {
 // cmd/verify.
 func TestRegistryResultOf(t *testing.T) {
 	in := busytime.NewInstance(2, [2]int64{0, 10}, [2]int64{5, 15})
-	s, alg := busytime.MinBusy(in)
-	res := busytime.ResultOf(alg, s)
+	solved, err := busytime.NewSolver().Solve(context.Background(), busytime.Request{Instance: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := busytime.ResultOf(solved.Algorithm, solved.Schedule)
 	if err := res.Certificate(); err != nil {
 		t.Fatal(err)
 	}
-	if res.Cost != s.Cost() || res.N != 2 || res.Class != busytime.ClassProperClique {
+	if res.Cost != solved.Cost || res.N != 2 || res.Class != busytime.ClassProperClique {
 		t.Errorf("ResultOf stats wrong: %+v", res)
 	}
 
