@@ -1,4 +1,4 @@
-// Benchmarks regenerating every experiment of EXPERIMENTS.md (one bench
+// Benchmarks regenerating every experiment of busysim experiments (one bench
 // per paper table/figure, named after the experiment index) plus scaling
 // benches documenting the implemented complexities.
 //
@@ -201,7 +201,7 @@ func BenchmarkE13Extensions(b *testing.B) {
 }
 
 // BenchmarkExperimentSuite times the full table regeneration (what
-// cmd/experiments does), one experiment per sub-bench with reduced seeds.
+// busysim experiments does), one experiment per sub-bench with reduced seeds.
 func BenchmarkExperimentSuite(b *testing.B) {
 	subs := []struct {
 		name string

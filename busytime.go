@@ -162,7 +162,7 @@ var (
 // each run's cost against the offline auto dispatch of NewSolver(), the
 // Observation 2.1 lower bound and, when the instance has at most
 // exact.MaxN jobs, the exact optimum. It is the harness behind the
-// competitive-ratio experiments and cmd/onlinesim.
+// competitive-ratio experiments and busysim online.
 func CompareOnline(in Instance, strategies ...OnlineStrategy) ([]OnlineReport, error) {
 	ctx := context.TODO()
 	offline, err := NewSolver().Solve(ctx, Request{Instance: in})

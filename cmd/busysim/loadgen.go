@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,25 +22,20 @@ import (
 // solve batches at a running busyd and reports throughput and latency
 // percentiles — the replay load generator of the serving layer.
 func runLoadgen(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs := flag.NewFlagSet("busysim loadgen", flag.ContinueOnError)
+	inst := addInstanceFlags(fs, "proper", workload.Config{N: 20, G: 3, MaxTime: 400, MaxLen: 60}, false)
 	var (
 		addr        = fs.String("addr", "http://127.0.0.1:8080", "busyd base URL")
 		batches     = fs.Int("batches", 32, "number of batches to fire")
 		batchSize   = fs.Int("batch", 32, "requests per batch")
 		concurrency = fs.Int("concurrency", 4, "concurrent in-flight batches")
-		family      = fs.String("workload", "proper", "workload family: "+strings.Join(workload.Names(), "|"))
-		n           = fs.Int("n", 20, "jobs per instance")
-		g           = fs.Int("g", 3, "machine capacity")
-		seed        = fs.Int64("seed", 1, "base random seed")
-		maxTime     = fs.Int64("maxtime", 400, "workload horizon")
-		maxLen      = fs.Int64("maxlen", 60, "maximum job length")
 		kind        = fs.String("kind", "min-busy", "request kind: min-busy|max-throughput|online")
 		budget      = fs.Int64("budget", 0, "busy-time budget for max-throughput requests")
 		algo        = fs.String("algo", "", "pin a batch algorithm (default: auto dispatch)")
 		timeoutMS   = fs.Int64("timeout-ms", 0, "per-request solve deadline")
 		traceOn     = fs.Bool("trace", false, "send a traceparent per batch and report the slowest solve's phase breakdown")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *batches < 1 || *batchSize < 1 || *concurrency < 1 {
@@ -53,9 +47,7 @@ func runLoadgen(args []string, out io.Writer) error {
 	for b := 0; b < *batches; b++ {
 		batch := server.BatchRequest{Algorithm: *algo}
 		for r := 0; r < *batchSize; r++ {
-			in, err := workload.ByName(*family, *seed+int64(b**batchSize+r), workload.Config{
-				N: *n, G: *g, MaxTime: *maxTime, MaxLen: *maxLen,
-			})
+			in, err := workload.ByName(inst.family, inst.seed+int64(b**batchSize+r), inst.cfg)
 			if err != nil {
 				return err
 			}

@@ -1,8 +1,7 @@
-// Command busysim generates or loads busy-time scheduling instances, runs
-// a chosen algorithm through the Solver API, and reports cost,
-// throughput, machine count and validity.
-//
-// Usage examples:
+// Command busysim drives the library offline. Without a subcommand it
+// generates or loads busy-time scheduling instances, runs a chosen
+// algorithm through the Solver API, and reports cost, throughput,
+// machine count and validity:
 //
 //	busysim -workload clique -n 20 -g 2 -seed 7 -alg auto
 //	busysim -workload proper -n 50 -g 4 -alg best-cut -json
@@ -10,31 +9,31 @@
 //	busysim -workload proper-clique -n 30 -g 3 -alg throughput -budget 500
 //	busysim -workload general -n 12 -g 2 -alg exact
 //
-// The loadgen subcommand replays generated batches against a running
-// busyd daemon and reports throughput and latency percentiles:
-//
-//	busysim loadgen -addr http://127.0.0.1:8080 -batches 64 -batch 32 -concurrency 8
-//
-// The stream subcommand replays a workload as a live NDJSON arrival
-// stream against busyd's POST /v1/stream, prints the daemon's live
-// competitive-ratio telemetry, and cross-checks the close report against
-// an offline replay of the same stream:
-//
-//	busysim stream -addr http://127.0.0.1:8080 -workload weighted -n 500 -g 4 -strategy online-budget -budget 2000
-//
 // -alg accepts any registered algorithm name or alias (the historical
 // short spellings keep working), plus "auto" (MinBusy dispatch) and
 // "throughput" (MaxThroughput dispatch, needs -budget). An unknown name
 // lists the registry. With -json the instance and schedule are printed
-// as JSON for piping into other tools (cmd/verify consumes it);
+// as JSON for piping into other tools (busysim verify consumes it);
 // otherwise a human-readable summary is printed.
+//
+// Each subcommand takes its own flags, which -h lists:
+//
+//	busysim online -workload adversarial -g 4 -longlen 400
+//	busysim rect -workload fig3 -g 12 -gamma 2 -alg all
+//	busysim verify -in out.json
+//	busysim experiments -only E5
+//	busysim loadgen -addr http://127.0.0.1:8080 -batches 64 -batch 32 -concurrency 8
+//	busysim stream -addr http://127.0.0.1:8080 -workload weighted -n 500 -g 4 -strategy online-budget -budget 2000
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -44,84 +43,171 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	if len(os.Args) > 1 && os.Args[1] == "loadgen" {
-		if err := runLoadgen(os.Args[2:], os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "stream" {
-		if err := runStream(os.Args[2:], os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	var (
-		workloadName = flag.String("workload", "general", "workload family: "+strings.Join(workload.Names(), "|"))
-		n            = flag.Int("n", 20, "number of jobs")
-		g            = flag.Int("g", 2, "machine capacity (parallelism parameter)")
-		seed         = flag.Int64("seed", 1, "random seed")
-		maxTime      = flag.Int64("maxtime", 200, "workload horizon")
-		maxLen       = flag.Int64("maxlen", 50, "maximum job length")
-		alg          = flag.String("alg", "auto", "algorithm: auto|throughput|<registered name or alias>")
-		budget       = flag.Int64("budget", -1, "busy-time budget for throughput algorithms")
-		localSearch  = flag.Bool("improve", false, "hill-climb the schedule after solving")
-		inFile       = flag.String("in", "", "load instance JSON instead of generating")
-		outJSON      = flag.Bool("json", false, "emit JSON output")
-		gantt        = flag.Bool("gantt", false, "draw an ASCII Gantt chart of the schedule")
-		width        = flag.Int("width", 80, "Gantt chart width in columns")
-		dump         = flag.Bool("dump", false, "print the instance JSON and exit without solving")
-	)
-	flag.Parse()
+// subcommands maps each subcommand name to its mode; any other first
+// argument runs the default single solve.
+var subcommands = map[string]func(args []string, out io.Writer) error{
+	"online":      runOnline,
+	"rect":        runRect,
+	"verify":      runVerify,
+	"experiments": runExperiments,
+	"loadgen":     runLoadgen,
+	"stream":      runStream,
+}
 
-	in, err := buildInstance(*inFile, *workloadName, *seed, workload.Config{N: *n, G: *g, MaxTime: *maxTime, MaxLen: *maxLen})
-	if err != nil {
-		fatal(err)
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errFlags):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "busysim:", err)
+		os.Exit(1)
 	}
-	if err := in.Validate(); err != nil {
-		fatal(err)
+}
+
+// run dispatches args to a subcommand, or to the default solve.
+func run(args []string, out io.Writer) error {
+	if len(args) > 0 {
+		if mode, ok := subcommands[args[0]]; ok {
+			return mode(args[1:], out)
+		}
+	}
+	return runSolve(args, out)
+}
+
+// errFlags marks a malformed command line, which the FlagSet has already
+// reported; main exits 2 on it, as flag.ExitOnError would.
+var errFlags = errors.New("malformed flags")
+
+// parseFlags parses args into fs, reporting every failure but -h as errFlags.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && err != flag.ErrHelp {
+		return errFlags
+	}
+	return err
+}
+
+// instanceFlags holds the workload flags shared by every mode that
+// solves or streams one-dimensional instances.
+type instanceFlags struct {
+	family string
+	seed   int64
+	cfg    workload.Config
+	path   string // -in; empty generates the family instead
+}
+
+// addInstanceFlags registers -workload -n -g -seed -maxtime -maxlen on
+// fs with the mode's defaults, plus -in when the mode loads files.
+func addInstanceFlags(fs *flag.FlagSet, family string, def workload.Config, withIn bool) *instanceFlags {
+	f := &instanceFlags{}
+	fs.StringVar(&f.family, "workload", family, "workload family: "+strings.Join(workload.Names(), "|"))
+	fs.IntVar(&f.cfg.N, "n", def.N, "number of jobs")
+	fs.IntVar(&f.cfg.G, "g", def.G, "machine capacity (parallelism parameter)")
+	fs.Int64Var(&f.seed, "seed", 1, "random seed")
+	fs.Int64Var(&f.cfg.MaxTime, "maxtime", def.MaxTime, "workload horizon")
+	fs.Int64Var(&f.cfg.MaxLen, "maxlen", def.MaxLen, "maximum job length")
+	if withIn {
+		fs.StringVar(&f.path, "in", "", "load instance JSON instead of generating")
+	}
+	return f
+}
+
+// load reads the -in file, or else generates the -workload family, and
+// validates the instance.
+func (f *instanceFlags) load() (job.Instance, error) {
+	if f.path == "" {
+		return validated(workload.ByName(f.family, f.seed, f.cfg))
+	}
+	var in job.Instance
+	return validated(in, readJSON(f.path, &in))
+}
+
+// validated passes on a generated or loaded instance once it validates.
+func validated[T interface{ Validate() error }](in T, err error) (T, error) {
+	if err == nil {
+		err = in.Validate()
+	}
+	return in, err
+}
+
+// readJSON decodes the file at path, or standard input when path is
+// empty, into v.
+func readJSON(path string, v any) error {
+	var data []byte
+	var err error
+	if path == "" {
+		data, err = io.ReadAll(os.Stdin)
+	} else {
+		data, err = os.ReadFile(path)
+	}
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("parsing %s: %v", cmp.Or(path, "standard input"), err)
+	}
+	return nil
+}
+
+// runSolve is the default mode: one instance, one Solver run.
+func runSolve(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("busysim", flag.ContinueOnError)
+	inst := addInstanceFlags(fs, "general", workload.Config{N: 20, G: 2, MaxTime: 200, MaxLen: 50}, true)
+	var (
+		alg         = fs.String("alg", "auto", "algorithm: auto|throughput|<registered name or alias>")
+		budget      = fs.Int64("budget", -1, "busy-time budget for throughput algorithms")
+		localSearch = fs.Bool("improve", false, "hill-climb the schedule after solving")
+		outJSON     = fs.Bool("json", false, "emit JSON output")
+		gantt       = fs.Bool("gantt", false, "draw an ASCII Gantt chart of the schedule")
+		width       = fs.Int("width", 80, "Gantt chart width in columns")
+		dump        = fs.Bool("dump", false, "print the instance JSON and exit without solving")
+	)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+
+	in, err := inst.load()
+	if err != nil {
+		return err
 	}
 	if *dump {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(in); err != nil {
-			fatal(err)
-		}
-		return
+		return encodeJSON(out, in)
 	}
 
 	res, err := solve(*alg, in, *budget, *localSearch)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := res.Certificate(); err != nil {
-		fatal(fmt.Errorf("algorithm %s produced an uncertifiable schedule: %v", res.Algorithm, err))
+		return fmt.Errorf("algorithm %s produced an uncertifiable schedule: %v", res.Algorithm, err)
 	}
 
 	if *outJSON {
-		emitJSON(in, res)
-		return
+		return encodeJSON(out, output{
+			Algorithm:    res.Algorithm,
+			Class:        res.Class.String(),
+			Cost:         res.Cost,
+			Machines:     res.Machines,
+			Scheduled:    res.Scheduled,
+			N:            res.N,
+			LowerBound:   res.LowerBound,
+			RatioVsBound: res.RatioVsBound,
+			ElapsedNS:    res.Elapsed.Nanoseconds(),
+			Machine:      res.Schedule.CompactMachines().Machine,
+			Instance:     in,
+		})
 	}
-	emitText(in, res)
+	fmt.Fprintf(out, "instance: n=%d g=%d class=%s len=%d span=%d LB=%d\n",
+		res.N, in.G, res.Class, in.TotalLen(), in.Span(), res.LowerBound)
+	fmt.Fprintf(out, "algorithm: %s (%v)\n", res.Algorithm, res.Elapsed.Round(1000))
+	fmt.Fprintf(out, "cost=%d machines=%d scheduled=%d/%d saving=%d ratio-vs-LB=%.3f\n",
+		res.Cost, res.Machines, res.Scheduled, res.N, res.Schedule.Saving(), res.RatioVsBound)
 	if *gantt {
-		fmt.Print(render.Gantt(res.Schedule, *width))
+		fmt.Fprint(out, render.Gantt(res.Schedule, *width))
 	}
-}
-
-func buildInstance(path, family string, seed int64, cfg workload.Config) (job.Instance, error) {
-	if path != "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return job.Instance{}, err
-		}
-		var in job.Instance
-		if err := json.Unmarshal(data, &in); err != nil {
-			return job.Instance{}, fmt.Errorf("parsing %s: %v", path, err)
-		}
-		return in, nil
-	}
-	return workload.ByName(family, seed, cfg)
+	return nil
 }
 
 // solve maps the -alg flag onto a Solver run: "auto" and "throughput"
@@ -171,14 +257,7 @@ func lookupEither(name string) (busytime.AlgorithmInfo, error) {
 		strings.Join(busytime.AlgorithmNames(busytime.KindMaxThroughput), " "))
 }
 
-func emitText(in job.Instance, res busytime.Result) {
-	fmt.Printf("instance: n=%d g=%d class=%s len=%d span=%d LB=%d\n",
-		res.N, in.G, res.Class, in.TotalLen(), in.Span(), res.LowerBound)
-	fmt.Printf("algorithm: %s (%v)\n", res.Algorithm, res.Elapsed.Round(1000))
-	fmt.Printf("cost=%d machines=%d scheduled=%d/%d saving=%d ratio-vs-LB=%.3f\n",
-		res.Cost, res.Machines, res.Scheduled, res.N, res.Schedule.Saving(), res.RatioVsBound)
-}
-
+// output is the -json document, and the input of busysim verify.
 type output struct {
 	Algorithm    string       `json:"algorithm"`
 	Class        string       `json:"class"`
@@ -193,27 +272,10 @@ type output struct {
 	Instance     job.Instance `json:"instance"`
 }
 
-func emitJSON(in job.Instance, res busytime.Result) {
-	enc := json.NewEncoder(os.Stdout)
+// encodeJSON writes v as indented JSON, the format of every -json and
+// -dump document.
+func encodeJSON(out io.Writer, v any) error {
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(output{
-		Algorithm:    res.Algorithm,
-		Class:        res.Class.String(),
-		Cost:         res.Cost,
-		Machines:     res.Machines,
-		Scheduled:    res.Scheduled,
-		N:            res.N,
-		LowerBound:   res.LowerBound,
-		RatioVsBound: res.RatioVsBound,
-		ElapsedNS:    res.Elapsed.Nanoseconds(),
-		Machine:      res.Schedule.CompactMachines().Machine,
-		Instance:     in,
-	}); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "busysim:", err)
-	os.Exit(1)
+	return enc.Encode(v)
 }

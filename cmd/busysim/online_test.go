@@ -1,8 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,10 +9,10 @@ import (
 	"repro/internal/workload"
 )
 
-func TestBuildInstanceFamilies(t *testing.T) {
+func TestLoadOnlineFamilies(t *testing.T) {
 	cfg := workload.Config{N: 8, G: 4, MaxTime: 100, MaxLen: 30}
 	for _, family := range workload.Names() {
-		in, err := buildInstance("", family, 1, 0, cfg)
+		in, err := loadOnline(&instanceFlags{family: family, seed: 1, cfg: cfg}, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", family, err)
 		}
@@ -25,36 +23,31 @@ func TestBuildInstanceFamilies(t *testing.T) {
 			t.Errorf("%s: %v", family, err)
 		}
 	}
-	adv, err := buildInstance("", "adversarial", 1, 0, cfg)
+	adv, err := loadOnline(&instanceFlags{family: "adversarial", seed: 1, cfg: cfg}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := adv.Validate(); err != nil {
 		t.Error(err)
 	}
-	if _, err := buildInstance("", "nope", 1, 0, cfg); err == nil {
+	if _, err := loadOnline(&instanceFlags{family: "nope", seed: 1, cfg: cfg}, 0); err == nil {
 		t.Error("unknown family accepted")
 	}
 }
 
-func TestBuildInstanceFromFile(t *testing.T) {
-	in := job.NewInstance(2, [2]int64{0, 10}, [2]int64{5, 15})
-	data, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
+func TestLoadOnlineFromFile(t *testing.T) {
+	path := writeInstance(t, job.NewInstance(2, [2]int64{0, 10}, [2]int64{5, 15}))
+	// -in wins over -workload, the adversarial family too.
+	for _, family := range []string{"ignored", "adversarial"} {
+		got, err := loadOnline(&instanceFlags{family: family, seed: 1, path: path}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Jobs) != 2 || got.G != 2 {
+			t.Fatalf("%s: loaded %+v", family, got)
+		}
 	}
-	path := filepath.Join(t.TempDir(), "inst.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := buildInstance(path, "ignored", 1, 0, workload.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Jobs) != 2 || got.G != 2 {
-		t.Fatalf("loaded %+v", got)
-	}
-	if _, err := buildInstance(filepath.Join(t.TempDir(), "missing.json"), "", 1, 0, workload.Config{}); err == nil {
+	if _, err := loadOnline(&instanceFlags{path: filepath.Join(t.TempDir(), "missing.json")}, 0); err == nil {
 		t.Error("missing file accepted")
 	}
 }

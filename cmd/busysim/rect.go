@@ -1,20 +1,10 @@
-// Command rectsim runs the two-dimensional (Section 3.4) busy-time
-// algorithms: random bounded-γ rectangle workloads or the Figure 3
-// adversarial family, solved through the Solver with any registered 2-D
-// algorithm.
-//
-// Usage examples:
-//
-//	rectsim -workload rects -n 60 -g 3 -gamma 8 -alg bucket
-//	rectsim -workload fig3 -g 12 -gamma 2 -alg ff2d
-//	rectsim -workload fig3 -g 12 -gamma 2 -alg all
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 
 	busytime "repro"
@@ -23,49 +13,54 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
+// runRect is the `busysim rect` subcommand: the two-dimensional
+// (Section 3.4) busy-time algorithms on random bounded-γ rectangle
+// workloads or the Figure 3 adversarial family, solved through the
+// Solver with any registered 2-D algorithm.
+func runRect(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("busysim rect", flag.ContinueOnError)
 	var (
-		family = flag.String("workload", "rects", "workload: rects|fig3")
-		n      = flag.Int("n", 50, "number of jobs (rects workload)")
-		g      = flag.Int("g", 3, "machine capacity")
-		gamma  = flag.Int64("gamma", 4, "max γ₁ (rects) / target γ₁ (fig3)")
-		seed   = flag.Int64("seed", 1, "random seed (rects workload)")
-		alg    = flag.String("alg", "all", "algorithm: all|"+strings.Join(busytime.AlgorithmNames(busytime.KindMinBusy2D), "|"))
+		family = fs.String("workload", "rects", "workload: rects|fig3")
+		n      = fs.Int("n", 50, "number of jobs (rects workload)")
+		g      = fs.Int("g", 3, "machine capacity")
+		gamma  = fs.Int64("gamma", 4, "max γ₁ (rects) / target γ₁ (fig3)")
+		seed   = fs.Int64("seed", 1, "random seed (rects workload)")
+		alg    = fs.String("alg", "all", "algorithm: all|"+strings.Join(busytime.AlgorithmNames(busytime.KindMinBusy2D), "|"))
 	)
-	flag.Parse()
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
-	in, err := buildInstance(*family, *n, *g, *gamma, *seed)
+	in, err := validated(buildRectInstance(*family, *n, *g, *gamma, *seed))
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := in.Validate(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("instance: n=%d g=%d gamma1=%.2f area=%d span=%d LB=%d\n",
+	fmt.Fprintf(out, "instance: n=%d g=%d gamma1=%.2f area=%d span=%d LB=%d\n",
 		len(in.Jobs), in.G, rect.Gamma(in.Rects(), 1), in.TotalArea(), in.SpanArea(), in.LowerBound())
 
 	names, err := pickAlgorithms(*alg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	ctx := context.Background()
 	for _, name := range names {
 		res, err := busytime.NewSolver(busytime.WithAlgorithm(name)).
 			Solve(ctx, busytime.Request{Rect: &in})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := res.Certificate(); err != nil {
-			fatal(fmt.Errorf("%s produced an uncertifiable schedule: %v", res.Algorithm, err))
+			return fmt.Errorf("%s produced an uncertifiable schedule: %v", res.Algorithm, err)
 		}
-		fmt.Printf("%-16s cost=%d machines=%d cost/LB=%.3f\n",
+		fmt.Fprintf(out, "%-16s cost=%d machines=%d cost/LB=%.3f\n",
 			res.Algorithm, res.Cost, res.Machines, res.RatioVsBound)
 	}
 	if *family == "fig3" {
 		predicted := workload.Figure3FirstFitCost(*g, *gamma, 1000, 1)
-		fmt.Printf("fig3: Lemma 3.5 predicts FirstFit2D cost %d (opt UB %d)\n",
+		fmt.Fprintf(out, "fig3: Lemma 3.5 predicts FirstFit2D cost %d (opt UB %d)\n",
 			predicted, workload.Figure3OptUpperBound(*g, *gamma, 1000, 1))
 	}
+	return nil
 }
 
 // pickAlgorithms resolves -alg through the registry: "all" runs every
@@ -89,7 +84,13 @@ func pickAlgorithms(alg string) ([]string, error) {
 	return []string{info.Name}, nil
 }
 
-func buildInstance(family string, n, g int, gamma, seed int64) (job.RectInstance, error) {
+// buildRectInstance generates the -workload family. The flags come from
+// the command line, so they are checked here: the generators panic on
+// out-of-range values.
+func buildRectInstance(family string, n, g int, gamma, seed int64) (job.RectInstance, error) {
+	if n < 0 || g < 1 || gamma < 1 {
+		return job.RectInstance{}, fmt.Errorf("need -n >= 0, -g >= 1 and -gamma >= 1, got -n %d -g %d -gamma %d", n, g, gamma)
+	}
 	switch family {
 	case "rects":
 		return workload.BoundedGammaRects(seed, workload.Config{N: n, G: g, MaxTime: 300, MaxLen: 80}, gamma), nil
@@ -98,9 +99,4 @@ func buildInstance(family string, n, g int, gamma, seed int64) (job.RectInstance
 	default:
 		return job.RectInstance{}, fmt.Errorf("unknown workload %q", family)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rectsim:", err)
-	os.Exit(1)
 }

@@ -35,9 +35,9 @@ func TestPickAlgorithms(t *testing.T) {
 	}
 }
 
-func TestBuildInstanceFamilies(t *testing.T) {
+func TestBuildRectInstanceFamilies(t *testing.T) {
 	for _, family := range []string{"rects", "fig3"} {
-		in, err := buildInstance(family, 20, 4, 2, 1)
+		in, err := buildRectInstance(family, 20, 4, 2, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", family, err)
 		}
@@ -45,7 +45,7 @@ func TestBuildInstanceFamilies(t *testing.T) {
 			t.Errorf("%s: %v", family, err)
 		}
 	}
-	if _, err := buildInstance("nope", 20, 4, 2, 1); err == nil {
+	if _, err := buildRectInstance("nope", 20, 4, 2, 1); err == nil {
 		t.Error("unknown family accepted")
 	}
 }

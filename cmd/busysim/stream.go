@@ -37,15 +37,10 @@ import (
 //	                                250 and the stream picks up where
 //	                                the journal left off
 func runStream(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("stream", flag.ContinueOnError)
+	fs := flag.NewFlagSet("busysim stream", flag.ContinueOnError)
+	inst := addInstanceFlags(fs, "arrivals", workload.Config{N: 200, G: 4, MaxTime: 2000, MaxLen: 80}, false)
 	var (
 		addr      = fs.String("addr", "http://127.0.0.1:8080", "busyd base URL")
-		family    = fs.String("workload", "arrivals", "workload family: "+strings.Join(workload.Names(), "|"))
-		n         = fs.Int("n", 200, "arrivals per stream")
-		g         = fs.Int("g", 4, "machine capacity")
-		seed      = fs.Int64("seed", 1, "random seed")
-		maxTime   = fs.Int64("maxtime", 2000, "workload horizon")
-		maxLen    = fs.Int64("maxlen", 80, "maximum job length")
 		strategy  = fs.String("strategy", "", "online strategy (default: daemon's strongest)")
 		budget    = fs.Int64("budget", 0, "busy-time budget for admission-control strategies")
 		events    = fs.Bool("events", false, "print every assignment event, not just the close report")
@@ -55,7 +50,7 @@ func runStream(args []string, out io.Writer) error {
 		killAfter = fs.Int("kill-after", -1, "drop the connection once this many events are confirmed (simulated crash)")
 		resumeAt  = fs.Int("resume", -1, "resume the -session stream, replaying journaled events from this seq")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	resume := *resumeAt >= 0
@@ -63,7 +58,7 @@ func runStream(args []string, out io.Writer) error {
 		return fmt.Errorf("stream: -resume needs -session")
 	}
 
-	in, err := workload.ByName(*family, *seed, workload.Config{N: *n, G: *g, MaxTime: *maxTime, MaxLen: *maxLen})
+	in, err := inst.load()
 	if err != nil {
 		return err
 	}
@@ -186,7 +181,7 @@ func runStream(args []string, out io.Writer) error {
 		return fmt.Errorf("stream: %d arrivals sent but %d events received", len(in.Jobs), got)
 	}
 	fmt.Fprintf(out, "stream: %d arrivals (workload %s, n=%d g=%d seed=%d) via %s [session %s]\n",
-		closeEv.Arrivals, *family, *n, *g, *seed, *addr, closeEv.Session)
+		closeEv.Arrivals, inst.family, inst.cfg.N, inst.cfg.G, inst.seed, *addr, closeEv.Session)
 	fmt.Fprintf(out, "strategy=%s admitted=%d rejected=%d cost=%d machines=%d peak=%d LB=%d ratio=%.4f chain=%s\n",
 		closeEv.Strategy, closeEv.Admitted, closeEv.Rejected, closeEv.Cost,
 		closeEv.MachinesOpened, closeEv.PeakOpen, closeEv.LowerBound, closeEv.Ratio, closeEv.Chain)

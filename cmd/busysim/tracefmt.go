@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/server"
 	"repro/internal/trace"
 )
 
@@ -15,19 +16,10 @@ func newTraceparent() string {
 	return trace.Traceparent(trace.NewTraceID(), trace.NewSpanID())
 }
 
-// structuralNames mirrors the server's grouping spans: their durations
-// are their children's, so a phase breakdown skips them.
-var structuralNames = map[string]bool{"request": true, "solve": true, "batch": true}
-
 // phaseBreakdown renders one span tree as "phase=duration" pairs sorted
 // slowest-first — the shape printed next to the latency percentiles.
 func phaseBreakdown(node *trace.Node) string {
-	totals := map[string]int64{}
-	node.Walk(func(n *trace.Node) {
-		if !structuralNames[n.Name] {
-			totals[n.Name] += n.DurationNS
-		}
-	})
+	totals := server.PhaseDurations(node)
 	type phase struct {
 		name string
 		ns   int64

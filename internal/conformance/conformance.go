@@ -47,6 +47,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/online"
 	"repro/internal/registry"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -127,6 +128,16 @@ type Outcome struct {
 	Checked    int // instances that passed the full invariant suite
 	Rejected   int // instances the algorithm declined
 	Violations []Violation
+}
+
+// Table renders one row per outcome: algorithm, kind, instances checked
+// and rejected, and the number of violations.
+func Table(outs []Outcome) *stats.Table {
+	t := &stats.Table{Header: []string{"algorithm", "kind", "checked", "rejected", "violations"}}
+	for _, o := range outs {
+		t.Add(o.Algorithm, o.Kind.String(), o.Checked, o.Rejected, len(o.Violations))
+	}
+	return t
 }
 
 // CheckAll runs the conformance suite for every registered algorithm, in

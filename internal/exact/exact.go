@@ -8,7 +8,7 @@
 //	           span(Q) + cost*(S \ Q)
 //
 // which evaluates in O(3^n) time and O(2^n) space. These solvers are the
-// ground truth every approximation experiment in EXPERIMENTS.md measures
+// ground truth every approximation experiment of busysim experiments measures
 // against; they are deliberately capped at MaxN jobs.
 package exact
 

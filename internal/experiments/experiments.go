@@ -1,18 +1,17 @@
-// Package experiments regenerates every table in EXPERIMENTS.md: one
-// experiment per paper claim (theorem, lemma, figure), each measuring an
-// implemented algorithm against the exact oracle or against the paper's
-// closed-form predictions on seeded workloads.
+// Package experiments regenerates every table `busysim experiments`
+// prints: one experiment per paper claim (theorem, lemma, figure), each
+// measuring an implemented algorithm against the exact oracle or against
+// the paper's closed-form predictions on seeded workloads.
 //
-// The experiment set is indexed E1…E17 as laid out in DESIGN.md §3. Both
-// cmd/experiments and the root-level benchmarks drive these entry points,
-// so the published numbers are regenerable with either `go test -bench` or
-// the standalone binary.
+// The experiment set is indexed E1…E18. Both `busysim experiments` and
+// the root-level benchmarks drive these entry points, so the published
+// numbers are regenerable with either `go test -bench` or the CLI.
 //
 // Experiments resolve their algorithms through internal/registry — the
 // same catalogue the Solver dispatches on — so a renamed or unregistered
 // algorithm fails loudly here instead of drifting, and the conformance
 // experiment (E16) walks registry.List() directly: a newly registered
-// algorithm shows up in EXPERIMENTS.md automatically.
+// algorithm shows up in the E16 table automatically.
 package experiments
 
 import (
@@ -97,7 +96,7 @@ type Result struct {
 	Notes []string
 }
 
-// String renders the result as the block format used in EXPERIMENTS.md.
+// String renders the result as the block `busysim experiments` prints.
 func (r Result) String() string {
 	out := fmt.Sprintf("== %s: %s ==\nClaim: %s\n%s", r.ID, r.Title, r.Claim, r.Table.String())
 	for _, n := range r.Notes {
@@ -761,10 +760,8 @@ func E16(seeds int) Result {
 	if err != nil {
 		panic(err)
 	}
-	t := &stats.Table{Header: []string{"algorithm", "kind", "checked", "rejected", "violations"}}
 	var notes []string
 	for _, o := range outs {
-		t.Add(o.Algorithm, o.Kind.String(), o.Checked, o.Rejected, len(o.Violations))
 		for _, v := range o.Violations {
 			notes = append(notes, v.String())
 		}
@@ -776,7 +773,7 @@ func E16(seeds int) Result {
 		ID:    "E16",
 		Title: "registry-driven conformance harness (beyond paper)",
 		Claim: "every registered algorithm passes certificate, bound, guarantee and metamorphic checks on its declared classes",
-		Table: t,
+		Table: conformance.Table(outs),
 		Notes: []string{"instances per (algorithm, class, g): " + fmt.Sprint(cfg.Seeds)},
 	}
 }

@@ -249,7 +249,7 @@ func (m *metrics) observePhases(algorithm string, node *trace.Node) {
 	if node == nil {
 		return
 	}
-	for phase, ns := range phaseDurations(node) {
+	for phase, ns := range PhaseDurations(node) {
 		m.phaseLatency.observe(fmt.Sprintf("algorithm=%q,phase=%q", algorithm, phase),
 			float64(ns)/1e9, ns)
 	}

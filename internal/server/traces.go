@@ -117,7 +117,7 @@ func (s *Server) finishTrace(root *trace.Span, endpoint, algorithm string, extra
 	})
 	if s.cfg.SlowSolve > 0 && node.Duration() >= s.cfg.SlowSolve {
 		s.reqlog.log(logEntry{Kind: "slow_solve", Outcome: endpoint, Algorithm: algorithm,
-			DurationNS: node.DurationNS, PhaseNS: phaseDurations(node)})
+			DurationNS: node.DurationNS, PhaseNS: PhaseDurations(node)})
 	}
 	return node
 }
@@ -127,9 +127,9 @@ func (s *Server) finishTrace(root *trace.Span, endpoint, algorithm string, extra
 // slow-solve phase breakdown (their time is their children's).
 var structuralSpans = map[string]bool{"request": true, "solve": true, "batch": true}
 
-// phaseDurations flattens a span tree into phase-name → total
+// PhaseDurations flattens a span tree into phase-name → total
 // nanoseconds, summing repeated phases (e.g. per-component placements).
-func phaseDurations(node *trace.Node) map[string]int64 {
+func PhaseDurations(node *trace.Node) map[string]int64 {
 	phases := map[string]int64{}
 	node.Walk(func(n *trace.Node) {
 		if !structuralSpans[n.Name] {

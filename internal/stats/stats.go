@@ -1,6 +1,6 @@
 // Package stats provides the small summary-statistics and table-rendering
-// toolkit used by the experiment harness (cmd/experiments, bench_test.go,
-// EXPERIMENTS.md).
+// toolkit used by the experiment harness (busysim experiments and
+// bench_test.go).
 package stats
 
 import (
@@ -87,7 +87,7 @@ func Ratio(a, b int64) float64 {
 }
 
 // Table renders rows under a header as fixed-width columns, the output
-// format of cmd/experiments. Column widths adapt to content.
+// format of busysim experiments. Column widths adapt to content.
 type Table struct {
 	Header []string
 	Rows   [][]string

@@ -16,7 +16,7 @@ func Names() []string {
 }
 
 // ByName generates the named one-dimensional workload family — the shared
-// resolver behind the -workload flags of cmd/busysim and cmd/onlinesim.
+// resolver behind the -workload flags of busysim and its subcommands.
 // Families needing extra parameters (adversarial, Figure 3) have their own
 // constructors.
 func ByName(family string, seed int64, c Config) (job.Instance, error) {

@@ -819,7 +819,7 @@ func (s *Solver) solveThroughput(ctx context.Context, in Instance, budget int64,
 // constructs strategies parameter-free, and the conformance harness,
 // E16 and the fuzz targets rely on every registered strategy producing a
 // total schedule here. The user-facing surfaces (busyd's /v1/stream,
-// onlinesim) refuse that combination instead, because there the silent
+// busysim online) refuse that combination instead, because there the silent
 // degeneration would masquerade as admission control.
 func (s *Solver) solveOnline(ctx context.Context, in Instance, budget int64) (online.Result, string, bool, error) {
 	name := s.algorithm

@@ -421,7 +421,7 @@ func TestRegistryFacadeViews(t *testing.T) {
 }
 
 // TestRegistryResultOf checks the schedule-wrapping constructor used by
-// cmd/verify.
+// busysim verify.
 func TestRegistryResultOf(t *testing.T) {
 	in := busytime.NewInstance(2, [2]int64{0, 10}, [2]int64{5, 15})
 	solved, err := busytime.NewSolver().Solve(context.Background(), busytime.Request{Instance: in})
