@@ -1,5 +1,6 @@
-// Package igraph builds the interval graph of a job set and classifies
-// instances into the special classes the paper's algorithms target.
+// Package igraph builds the interval graph of a job set, splits
+// instances into its connected components and classifies instances into
+// the special classes the paper's algorithms target.
 //
 // The interval graph has one vertex per job and an edge between jobs whose
 // processing intervals overlap (Section 1). The classes recognized here
@@ -12,6 +13,8 @@
 package igraph
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/interval"
@@ -26,7 +29,8 @@ type Graph struct {
 }
 
 // Build constructs the interval graph in O(n log n + m) time using a
-// sweep over start-sorted jobs.
+// sweep over start-sorted jobs. The solve path does not build it:
+// SplitComponents finds the components without edges.
 func Build(jobs []job.Job) *Graph {
 	n := len(jobs)
 	g := &Graph{jobs: append([]job.Job(nil), jobs...), adj: make([][]int, n)}
@@ -39,8 +43,10 @@ func Build(jobs []job.Job) *Graph {
 		return jobs[order[a]].Start() < jobs[order[b]].Start()
 	})
 
-	// active holds indices of jobs whose interval may still overlap future
-	// starts, kept as a min-heap by end time via periodic compaction.
+	// active holds the jobs that may still overlap a later start. Each
+	// step keeps those that end after the current start (half-open: one
+	// ending exactly there does not overlap it) and appends the current
+	// job.
 	var active []int
 	for _, idx := range order {
 		cur := jobs[idx]
@@ -84,53 +90,66 @@ func (g *Graph) OverlapWeight(i, j int) int64 {
 	return g.jobs[i].Interval.OverlapLen(g.jobs[j].Interval)
 }
 
-// ConnectedComponents returns the vertex sets of the connected components,
-// each sorted, in order of smallest member. MinBusy decomposes over
-// components (Section 2), so solvers split instances along this partition.
-func (g *Graph) ConnectedComponents() [][]int {
-	n := g.N()
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var comps [][]int
-	for start := 0; start < n; start++ {
-		if comp[start] != -1 {
-			continue
-		}
-		id := len(comps)
-		queue := []int{start}
-		comp[start] = id
-		var members []int
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			members = append(members, v)
-			for _, w := range g.adj[v] {
-				if comp[w] == -1 {
-					comp[w] = id
-					queue = append(queue, w)
-				}
-			}
-		}
-		sort.Ints(members)
-		comps = append(comps, members)
-	}
-	return comps
-}
-
 // SplitComponents partitions an instance into one sub-instance per
-// connected component of its interval graph, preserving job IDs.
+// connected component of its interval graph, preserving job IDs and G.
+// Components come in order of their smallest job position, each with
+// its jobs in increasing position. MinBusy decomposes over components
+// (Section 2), so solvers split instances along this partition.
+//
+// No edges are needed. Sorted by start, the jobs of one component form a
+// run in which every start falls before the largest end seen so far, so
+// one sweep over the start order cuts the runs: O(n log n) time for the
+// sort and a constant number of allocations. Intervals are half-open,
+// as in Build: a job starting exactly at the largest end seen so far
+// opens a new component, so [0,10) and [10,20) stay apart. Jobs must be
+// non-empty, as Instance.Validate requires. The sub-instances' job
+// slices are disjoint, capacity-capped blocks of one array.
 func SplitComponents(in job.Instance) []job.Instance {
-	g := Build(in.Jobs)
-	comps := g.ConnectedComponents()
-	out := make([]job.Instance, len(comps))
-	for i, members := range comps {
-		jobs := make([]job.Job, len(members))
-		for k, v := range members {
-			jobs[k] = in.Jobs[v]
+	jobs := in.Jobs
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(jobs[a].Start(), jobs[b].Start()), cmp.Compare(a, b))
+	})
+
+	// run[p] is the index, in start order, of the run holding position p.
+	run := make([]int, len(jobs))
+	runs := 0
+	var reach int64 // the largest end seen so far
+	for _, p := range order {
+		if runs == 0 || jobs[p].Start() >= reach {
+			runs++
+			reach = jobs[p].End()
+		} else {
+			reach = max(reach, jobs[p].End())
 		}
-		out[i] = job.Instance{Jobs: jobs, G: in.G}
+		run[p] = runs - 1
+	}
+
+	// Each run gets a block of one shared slice, claimed when its
+	// smallest position comes up; filling the blocks in position order
+	// keeps every component's jobs in increasing position.
+	size := make([]int, runs)
+	for _, r := range run {
+		size[r]++
+	}
+	next := make([]int, runs) // the run's next free slot; -1 until claimed
+	for r := range next {
+		next[r] = -1
+	}
+	all := make([]job.Job, len(jobs))
+	out := make([]job.Instance, 0, runs)
+	claimed := 0
+	for p, r := range run {
+		if next[r] < 0 {
+			lo, hi := claimed, claimed+size[r]
+			out = append(out, job.Instance{Jobs: all[lo:hi:hi], G: in.G})
+			next[r], claimed = lo, hi
+		}
+		all[next[r]] = jobs[p]
+		next[r]++
 	}
 	return out
 }

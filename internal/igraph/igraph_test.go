@@ -2,10 +2,13 @@ package igraph
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/job"
+	"repro/internal/workload"
 )
 
 func inst(spans ...[2]int64) []job.Job {
@@ -44,10 +47,64 @@ func TestOverlapWeight(t *testing.T) {
 	}
 }
 
+// connectedComponentsReference returns the vertex sets of the graph's
+// connected components by BFS, each sorted, in order of smallest member:
+// the partition SplitComponents must reproduce without building edges.
+func connectedComponentsReference(g *Graph) [][]int {
+	n := g.N()
+	comp := make([]int, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	var comps [][]int
+	for start := 0; start < n; start++ {
+		if comp[start] != -1 {
+			continue
+		}
+		id := len(comps)
+		queue := []int{start}
+		comp[start] = id
+		var members []int
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			members = append(members, v)
+			for _, w := range g.Neighbors(v) {
+				if comp[w] == -1 {
+					comp[w] = id
+					queue = append(queue, w)
+				}
+			}
+		}
+		sort.Ints(members)
+		comps = append(comps, members)
+	}
+	return comps
+}
+
+// splitReference is SplitComponents computed from the whole graph.
+func splitReference(in job.Instance) []job.Instance {
+	comps := connectedComponentsReference(Build(in.Jobs))
+	out := make([]job.Instance, len(comps))
+	for i, members := range comps {
+		jobs := make([]job.Job, len(members))
+		for k, v := range members {
+			jobs[k] = in.Jobs[v]
+		}
+		out[i] = job.Instance{Jobs: jobs, G: in.G}
+	}
+	return out
+}
+
+func equalSplits(a, b []job.Instance) bool {
+	return slices.EqualFunc(a, b, func(x, y job.Instance) bool {
+		return x.G == y.G && slices.Equal(x.Jobs, y.Jobs)
+	})
+}
+
 func TestConnectedComponents(t *testing.T) {
 	jobs := inst([2]int64{0, 10}, [2]int64{5, 15}, [2]int64{20, 30}, [2]int64{25, 35}, [2]int64{50, 60})
-	g := Build(jobs)
-	comps := g.ConnectedComponents()
+	comps := connectedComponentsReference(Build(jobs))
 	if len(comps) != 3 {
 		t.Fatalf("components = %v", comps)
 	}
@@ -62,6 +119,96 @@ func TestConnectedComponents(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSplitComponentsMatchesGraph checks the sweep against the BFS over
+// the built graph: the same sub-instances in the same order, on every
+// workload family and on hand-written shapes around the half-open rule.
+func TestSplitComponentsMatchesGraph(t *testing.T) {
+	for _, family := range workload.Names() {
+		for _, n := range []int{0, 1, 2, 5, 30, 200} {
+			for seed := int64(1); seed <= 200; seed++ {
+				// Lengths up to 1..25 on a horizon of 4n+20 mix
+				// single-job components with long overlapping runs.
+				cfg := workload.Config{N: n, G: 3, MaxTime: int64(4*n + 20), MaxLen: 1 + seed%25}
+				in, err := workload.ByName(family, seed, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := SplitComponents(in), splitReference(in); !equalSplits(got, want) {
+					t.Fatalf("%s n=%d seed=%d: sweep %v, graph %v", family, n, seed, got, want)
+				}
+			}
+		}
+	}
+
+	withIDs := func(ids []int, jobs []job.Job) []job.Job {
+		for i := range jobs {
+			jobs[i].ID = ids[i]
+		}
+		return jobs
+	}
+	cases := []struct {
+		name  string
+		jobs  []job.Job
+		comps int
+	}{
+		{"touching endpoints", inst([2]int64{0, 10}, [2]int64{10, 20}, [2]int64{20, 30}), 3},
+		{"nesting", inst([2]int64{0, 100}, [2]int64{10, 20}, [2]int64{30, 40}, [2]int64{150, 160}, [2]int64{152, 155}), 2},
+		{"equal starts, different ends", inst([2]int64{0, 12}, [2]int64{0, 5}, [2]int64{11, 20}, [2]int64{20, 25}, [2]int64{20, 21}), 2},
+		{"duplicate intervals", inst([2]int64{0, 10}, [2]int64{0, 10}, [2]int64{10, 20}, [2]int64{10, 20}), 2},
+		{"out of start order", inst([2]int64{50, 60}, [2]int64{0, 10}, [2]int64{55, 70}, [2]int64{5, 8}, [2]int64{70, 71}), 3},
+		{"ids differ from positions", withIDs([]int{42, 7, 19, 3}, inst([2]int64{30, 40}, [2]int64{0, 10}, [2]int64{35, 50}, [2]int64{9, 12})), 2},
+		{"one job bridges two groups", inst([2]int64{0, 10}, [2]int64{2, 8}, [2]int64{20, 30}, [2]int64{22, 28}, [2]int64{5, 25}), 1},
+	}
+	for _, c := range cases {
+		in := job.Instance{Jobs: c.jobs, G: 2}
+		got, want := SplitComponents(in), splitReference(in)
+		if !equalSplits(got, want) {
+			t.Errorf("%s: sweep %v, graph %v", c.name, got, want)
+		}
+		if len(got) != c.comps {
+			t.Errorf("%s: %d components, want %d", c.name, len(got), c.comps)
+		}
+	}
+}
+
+// TestSplitComponentsAllocs pins the split's allocations to a constant:
+// a 5000-job clique has 12.5M edges, none of which the sweep builds.
+func TestSplitComponentsAllocs(t *testing.T) {
+	in := workload.Clique(1, workload.Config{N: 5000, G: 4, MaxTime: 10000, MaxLen: 10000})
+	if comps := SplitComponents(in); len(comps) != 1 {
+		t.Fatalf("clique split into %d components, want 1", len(comps))
+	}
+	if allocs := testing.AllocsPerRun(5, func() { SplitComponents(in) }); allocs > 16 {
+		t.Errorf("SplitComponents on a 5000-job clique: %.0f allocations, want at most 16", allocs)
+	}
+}
+
+// decodeJobs turns bytes into at most 64 jobs, two bytes each: a start
+// on the grid 0..63 and a length in 1..16, so equal and touching
+// endpoints are common. IDs count down from 63, so they differ from
+// positions.
+func decodeJobs(data []byte) job.Instance {
+	in := job.Instance{G: 1}
+	for i := 0; i+1 < len(data) && len(in.Jobs) < 64; i += 2 {
+		start := int64(data[i] % 64)
+		in.Jobs = append(in.Jobs, job.New(63-len(in.Jobs), start, start+1+int64(data[i+1]%16)))
+	}
+	return in
+}
+
+// FuzzSplitComponents compares the sweep with the BFS over the built
+// graph on decoded job sets. Run with:
+//
+//	go test -fuzz FuzzSplitComponents -fuzztime 30s -run '^$' ./internal/igraph
+func FuzzSplitComponents(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := decodeJobs(data)
+		if got, want := SplitComponents(in), splitReference(in); !equalSplits(got, want) {
+			t.Fatalf("jobs %v: sweep %v, graph %v", in.Jobs, got, want)
+		}
+	})
 }
 
 func TestSplitComponents(t *testing.T) {

@@ -31,7 +31,7 @@ var stageLatencyBounds = []float64{
 }
 
 // phaseBounds bucket the per-phase solve breakdown, which spans
-// sub-microsecond dispatch/bound spans up to multi-second placements —
+// sub-microsecond classify/bound spans up to multi-second placements —
 // the union of the solve- and stage-latency ranges.
 var phaseBounds = []float64{
 	0.0000001, 0.000001, 0.00001, 0.0001, 0.0005, 0.001, 0.0025,
@@ -243,7 +243,7 @@ func (m *metrics) observeBatch(algorithm string, d time.Duration, size int) {
 
 // observePhases feeds one solve's span tree into the
 // busyd_solve_phase_seconds{algorithm,phase} histograms: every
-// non-structural span (dispatch, bound, placement, local-search,
+// non-structural span (classify, bound, placement, local-search,
 // reopt.*, certify) is one observation under its phase name.
 func (m *metrics) observePhases(algorithm string, node *trace.Node) {
 	if node == nil {

@@ -117,7 +117,7 @@ func TestMetricsHistogramExposition(t *testing.T) {
 	m.observeSolve("error", time.Millisecond)
 	m.observeBatch("auto", time.Millisecond, 10000) // past the last batch-size bound
 	m.observePhases("greedy-tracking", &trace.Node{Name: "solve", DurationNS: 5e6, Children: []*trace.Node{
-		{Name: "dispatch", DurationNS: 1e6},
+		{Name: "classify", DurationNS: 1e6},
 		{Name: "placement", DurationNS: 3e6},
 		{Name: "bound", DurationNS: 5e5},
 	}})
@@ -135,7 +135,7 @@ func TestMetricsHistogramExposition(t *testing.T) {
 	checkHistogram(t, samples, "busyd_solve_latency_seconds", `algorithm="error"`)
 	checkHistogram(t, samples, "busyd_batch_latency_seconds", `algorithm="auto"`)
 	checkHistogram(t, samples, "busyd_batch_size", "")
-	for _, phase := range []string{"dispatch", "placement", "bound"} {
+	for _, phase := range []string{"classify", "placement", "bound"} {
 		checkHistogram(t, samples, "busyd_solve_phase_seconds", `algorithm="greedy-tracking",phase="`+phase+`"`)
 	}
 	for _, stage := range streamStages {

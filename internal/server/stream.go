@@ -54,6 +54,12 @@ import (
 // journal unclosed — and the session resumable from its durable prefix.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requestsStream.Add(1)
+	// Every reply closes the connection. A refusal can come while the
+	// client still holds the request body open; on a keep-alive reply
+	// net/http would first drain that body, so the status would wait for
+	// a body that never ends. A session can also end with arrivals still
+	// unread, which net/http would parse as the next request.
+	w.Header().Set("Connection", "close")
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("server: POST only"))
 		return
@@ -154,9 +160,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Traceparent", trace.Traceparent(root.TraceID(), root.SpanID()))
-	// A session can end with arrivals still unread; the connection ends
-	// with it, or net/http would parse them as the next request.
-	w.Header().Set("Connection", "close")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)

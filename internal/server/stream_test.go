@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/job"
 	"repro/internal/journal"
@@ -197,6 +198,57 @@ func TestStreamHeaderErrors(t *testing.T) {
 				t.Fatal(err)
 			}
 			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.status {
+				t.Errorf("status %d, want %d", resp.StatusCode, c.status)
+			}
+		})
+	}
+}
+
+// TestStreamRefusalWithOpenBody refuses sessions while the client still
+// holds the request body open, as a streaming client does. The refusal
+// must arrive at once: on a reply that kept the connection alive,
+// net/http would first drain the unread body, which never ends.
+func TestStreamRefusalWithOpenBody(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	in := workload.Arrivals(3, workload.Config{N: 20, G: 2, MaxTime: 200, MaxLen: 20})
+	streamInstance(t, ts.URL, StreamOpen{G: in.G, Strategy: "online-firstfit", Session: "journaled-1"}, in)
+
+	cases := []struct {
+		name   string
+		open   string
+		status int
+	}{
+		{"journaled session id", `{"g":2,"strategy":"online-firstfit","session":"journaled-1"}`, http.StatusConflict},
+		{"rejected open line", `{"g":0}`, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pr, pw := io.Pipe()
+			writerDone := make(chan struct{})
+			go func() {
+				defer close(writerDone)
+				_, err := io.WriteString(pw, c.open+"\n")
+				enc := json.NewEncoder(pw)
+				for i := int64(0); err == nil && i < 3; i++ {
+					err = enc.Encode(StreamArrival{ID: int(i), Start: i, End: i + 5, Weight: 1})
+				}
+			}()
+			// A client timeout alone would not end the wait: the
+			// transport joins its body writer, which blocks on the pipe.
+			// Breaking the pipe after 5s ends both.
+			timer := time.AfterFunc(5*time.Second, func() { pr.CloseWithError(errors.New("no reply within 5s")) })
+			resp, err := http.Post(ts.URL+"/v1/stream", "application/x-ndjson", pr)
+			onTime := timer.Stop()
+			pr.CloseWithError(io.ErrClosedPipe)
+			<-writerDone
+			if !onTime {
+				t.Fatal("no reply within 5s while the body was open")
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,7 +17,7 @@ import (
 
 // TestTraceparentRoundTripSolve is the tracing acceptance e2e: a client
 // that sends a W3C traceparent gets the span tree echoed in the body —
-// covering dispatch, placement and certification — joined to its trace
+// covering classify, placement and certification — joined to its trace
 // id, and the same tree lands in the /debug/traces ring.
 func TestTraceparentRoundTripSolve(t *testing.T) {
 	ts := newTestServer(t, Config{})
@@ -65,7 +65,7 @@ func TestTraceparentRoundTripSolve(t *testing.T) {
 	if res.Trace.ParentSpanID != sid {
 		t.Errorf("root's remote parent %s, want the client's span %s", res.Trace.ParentSpanID, sid)
 	}
-	for _, phase := range []string{"solve", "dispatch", "placement", "bound", "certify"} {
+	for _, phase := range []string{"solve", "classify", "placement", "bound", "certify"} {
 		if res.Trace.Find(phase) == nil {
 			t.Errorf("span tree is missing %q:\n%s", phase, data)
 		}

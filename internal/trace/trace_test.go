@@ -40,7 +40,7 @@ func TestEnabledSpanTree(t *testing.T) {
 	if root == nil {
 		t.Fatal("Start on enabled context returned nil span")
 	}
-	_, a := Start(ctx, "dispatch")
+	_, a := Start(ctx, "classify")
 	a.End()
 	cctx, b := Start(ctx, "placement")
 	_, b2 := Start(cctx, "matching")
@@ -62,8 +62,8 @@ func TestEnabledSpanTree(t *testing.T) {
 	if n.Find("matching") == nil {
 		t.Fatal("nested child missing from snapshot")
 	}
-	if got := n.Children[0].Name; got != "dispatch" {
-		t.Fatalf("first child = %q, want dispatch (insertion order)", got)
+	if got := n.Children[0].Name; got != "classify" {
+		t.Fatalf("first child = %q, want classify (insertion order)", got)
 	}
 	// Sequential nested children: durations must sum to at most the root.
 	var sum int64

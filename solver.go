@@ -497,13 +497,13 @@ func (s *Solver) dispatch(ctx context.Context, req Request) (Result, error) {
 // solve1D is the cold (cache-free) 1-D solve path: classify once,
 // dispatch on the kind, post-optimize, assemble the Result. The
 // instance is already validated. Each phase runs under its own span:
-// "dispatch" (class detection), "placement" (the algorithm itself),
+// "classify" (class detection), "placement" (the algorithm itself),
 // "local-search" (when enabled) and "bound" (Observation 2.1).
 func (s *Solver) solve1D(ctx context.Context, req Request, kind ProblemKind, start time.Time) (Result, error) {
 	in := req.Instance
-	_, dsp := trace.Start(ctx, "dispatch")
+	_, csp := trace.Start(ctx, "classify")
 	class := igraph.Classify(in.Jobs)
-	dsp.End()
+	csp.End()
 
 	var res Result
 	pctx, psp := trace.Start(ctx, "placement")

@@ -38,7 +38,7 @@ func TestSolveTracePhases(t *testing.T) {
 	if n.Name != "solve" {
 		t.Fatalf("root span %q, want solve", n.Name)
 	}
-	for _, phase := range []string{"dispatch", "placement", "bound"} {
+	for _, phase := range []string{"classify", "placement", "bound"} {
 		if n.Find(phase) == nil {
 			t.Errorf("phase span %q missing from trace", phase)
 		}
