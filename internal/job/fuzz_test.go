@@ -2,11 +2,17 @@ package job
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
+
+	"repro/internal/wirejson"
 )
 
 // FuzzInstanceJSON exercises the CLI interchange parser: any input either
-// fails cleanly or round-trips to a validated instance.
+// fails cleanly or round-trips to a validated instance, and wherever the
+// one-pass parser accepts, encoding/json decodes the same Instance (a
+// nil and an empty Jobs count as different). The committed corpus holds
+// one input per reason the one-pass parser declines.
 func FuzzInstanceJSON(f *testing.F) {
 	seed := [][]byte{
 		[]byte(`{"g":2,"jobs":[{"id":0,"start":0,"end":10}]}`),
@@ -21,6 +27,16 @@ func FuzzInstanceJSON(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := wirejson.New(data)
+		if fast := ScanInstance(&sc); sc.End() {
+			var ref Instance
+			if err := ref.unmarshalStd(data); err != nil {
+				t.Fatalf("one-pass parser accepted what encoding/json rejects (%v): %q", err, data)
+			}
+			if !reflect.DeepEqual(fast, ref) {
+				t.Fatalf("one-pass parser decoded %#v, encoding/json %#v: %q", fast, ref, data)
+			}
+		}
 		var in Instance
 		if err := json.Unmarshal(data, &in); err != nil {
 			return // rejected cleanly

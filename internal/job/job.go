@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/interval"
 	"repro/internal/rect"
+	"repro/internal/wirejson"
 )
 
 // Job is a unit-demand interval job. ID is the job's index within its
@@ -172,8 +173,21 @@ func (in Instance) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the CLI interchange format, defaulting weight and
-// demand to 1 when omitted.
+// demand to 1 when omitted. Input in the canonical subset of the format
+// (see ScanInstance) is decoded in one pass; anything else, and every
+// input that fails a check, goes through encoding/json.
 func (in *Instance) UnmarshalJSON(data []byte) error {
+	sc := wirejson.New(data)
+	if fast := ScanInstance(&sc); sc.End() {
+		*in = fast
+		return nil
+	}
+	return in.unmarshalStd(data)
+}
+
+// unmarshalStd is the encoding/json decode of the interchange format:
+// the reference ScanInstance must agree with wherever it accepts.
+func (in *Instance) unmarshalStd(data []byte) error {
 	var dec jsonInstance
 	if err := json.Unmarshal(data, &dec); err != nil {
 		return err
@@ -197,6 +211,80 @@ func (in *Instance) UnmarshalJSON(data []byte) error {
 		in.Jobs[i] = Job{ID: j.ID, Interval: interval.Interval{Start: j.Start, End: j.End}, Weight: w, Demand: d}
 	}
 	return in.Validate()
+}
+
+// ScanInstance reads one instance object of the interchange format from
+// sc in a single pass, with the checks UnmarshalJSON applies. It reads
+// only the canonical subset: keys exactly "g" and "jobs", and per job
+// "id", "start", "end", "weight" and "demand", each at most once, with
+// integer values (wirejson's rules). On anything else — another key,
+// null, a float, an overflow — and on an instance UnmarshalJSON would
+// reject, it fails sc, and the caller decodes the bytes with
+// encoding/json instead, which then reports the error.
+func ScanInstance(sc *wirejson.Scanner) Instance {
+	var in Instance
+	var seen uint64
+	sc.Open('{')
+	for i := 0; sc.Next('}', i); i++ {
+		switch sc.Field(instanceKeys, &seen) {
+		case 0:
+			in.G = sc.Int()
+		case 1:
+			in.Jobs = scanJobs(sc)
+		}
+	}
+	if in.Jobs == nil {
+		in.Jobs = []Job{}
+	}
+	// Validate also rejects what UnmarshalJSON checks before it: g < 1
+	// and end < start (an empty interval).
+	if sc.Failed() || in.Validate() != nil {
+		sc.Fail()
+		return Instance{}
+	}
+	return in
+}
+
+// The keys ScanInstance reads, in the order MarshalJSON writes them.
+var (
+	instanceKeys = []string{"g", "jobs"}
+	jobKeys      = []string{"id", "start", "end", "weight", "demand"}
+)
+
+// scanJobs reads the "jobs" array for ScanInstance.
+func scanJobs(sc *wirejson.Scanner) []Job {
+	var jobs []Job
+	sc.Open('[')
+	for i := 0; sc.Next(']', i); i++ {
+		var (
+			seen             uint64
+			id               int
+			start, end, w, d int64
+		)
+		sc.Open('{')
+		for k := 0; sc.Next('}', k); k++ {
+			switch sc.Field(jobKeys, &seen) {
+			case 0:
+				id = sc.Int()
+			case 1:
+				start = sc.Int64()
+			case 2:
+				end = sc.Int64()
+			case 3:
+				w = sc.Int64()
+			case 4:
+				d = sc.Int64()
+			}
+		}
+		if w == 0 {
+			w = 1
+		}
+		if d == 0 {
+			d = 1
+		}
+		jobs = append(jobs, Job{ID: id, Interval: interval.Interval{Start: start, End: end}, Weight: w, Demand: d})
+	}
+	return jobs
 }
 
 // RectJob is a two-dimensional job (Section 3.4): a rectangle that must be

@@ -3,9 +3,11 @@ package journal
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -368,6 +370,157 @@ func TestFileStoreDurabilityAndRecovery(t *testing.T) {
 	if _, err := OpenFileStore(path); err == nil {
 		t.Fatal("OpenFileStore loaded a log with interior corruption")
 	}
+}
+
+// faultyLog is a log file that fails on demand: the next WriteAt after
+// a "short" or "enospc" fault writes part of its bytes and fails, the
+// next Sync after an "fsync" fault fails, and Truncate fails while
+// truncErr is set.
+type faultyLog struct {
+	*os.File
+	fault    string
+	truncErr error
+}
+
+func (f *faultyLog) WriteAt(p []byte, off int64) (int, error) {
+	fault := f.fault
+	switch fault {
+	case "short", "enospc":
+		f.fault = ""
+		n, err := f.File.WriteAt(p[:len(p)/2], off)
+		if err != nil {
+			return n, err
+		}
+		if fault == "short" {
+			return n, io.ErrShortWrite
+		}
+		return n, syscall.ENOSPC
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f *faultyLog) Sync() error {
+	if f.fault == "fsync" {
+		f.fault = ""
+		return syscall.EIO
+	}
+	return f.File.Sync()
+}
+
+func (f *faultyLog) Truncate(size int64) error {
+	if f.truncErr != nil {
+		return f.truncErr
+	}
+	return f.File.Truncate(size)
+}
+
+// TestFileStoreFailedAppend injects a fault into one session's append
+// between another session's: the failed append must leave no bytes
+// behind, so after a reopen the other session reads back every record
+// it was acknowledged (and verifies), and the faulted session keeps
+// exactly its records from before the fault. Without the cut-back, a
+// torn line swallows the next one-record append on reopen, a torn line
+// followed by more records refuses to load, and an append whose fsync
+// failed reappears on reopen although it was never acknowledged. When
+// the cut-back itself fails, the store refuses every later append.
+func TestFileStoreFailedAppend(t *testing.T) {
+	sa, _, err := Certify("sa", plainParams(), testArrivals(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, _, err := Certify("sb", budgetParams(), testArrivals(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fault := range []string{"short", "enospc", "fsync"} {
+		t.Run(fault, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal.ndjson")
+			st, err := OpenFileStore(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := &faultyLog{File: st.f.(*os.File)}
+			st.f = log
+			appendOK := func(session string, recs []Record) {
+				t.Helper()
+				if err := st.Append(session, recs); err != nil {
+					t.Fatalf("Append(%s, %d records): %v", session, len(recs), err)
+				}
+			}
+			appendOK("sa", sa[:2])
+			appendOK("sb", sb[:2])
+			log.fault = fault
+			if err := st.Append("sb", sb[2:4]); err == nil {
+				t.Fatalf("Append with a %s fault succeeded", fault)
+			}
+			appendOK("sa", sa[2:3]) // one record right behind the fault
+			appendOK("sa", sa[3:5])
+			appendOK("sa", sa[5:])
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			st, err = OpenFileStore(path)
+			if err != nil {
+				t.Fatalf("reopen after a %s fault: %v", fault, err)
+			}
+			defer st.Close()
+			gotA, err := st.Read("sa")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gotA) != len(sa) {
+				t.Fatalf("sa read back %d of its %d acknowledged records", len(gotA), len(sa))
+			}
+			if _, err := Verify(gotA); err != nil {
+				t.Fatalf("sa after reopen: %v", err)
+			}
+			gotB, err := st.Read("sb")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gotB) != 2 || gotB[1].Hash != sb[1].Hash {
+				t.Fatalf("sb read back %d records, want its 2 from before the fault", len(gotB))
+			}
+		})
+	}
+
+	t.Run("cut-back fails", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "journal.ndjson")
+		st, err := OpenFileStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := &faultyLog{File: st.f.(*os.File)}
+		st.f = log
+		if err := st.Append("sa", sa[:2]); err != nil {
+			t.Fatal(err)
+		}
+		log.fault, log.truncErr = "short", syscall.EIO
+		if err := st.Append("sa", sa[2:3]); !errors.Is(err, io.ErrShortWrite) || !errors.Is(err, syscall.EIO) {
+			t.Fatalf("Append = %v, want the write and the truncate errors", err)
+		}
+		log.truncErr = nil
+		if err := st.Append("sb", sb[:1]); err == nil {
+			t.Fatal("Append after a failed cut-back succeeded")
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// The half record at the end is the crash artifact the next
+		// open removes.
+		st, err = OpenFileStore(path)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer st.Close()
+		if ids, err := st.Sessions(); err != nil || len(ids) != 1 {
+			t.Fatalf("Sessions() = %v, %v; want only sa", ids, err)
+		}
+		if got, err := st.Read("sa"); err != nil || len(got) != 2 {
+			t.Fatalf("sa read back %d records (%v), want its 2 acknowledged ones", len(got), err)
+		}
+	})
 }
 
 func TestMemStoreRejectsForeignRecords(t *testing.T) {

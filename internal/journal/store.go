@@ -8,6 +8,8 @@ import (
 	"os"
 	"sort"
 	"sync"
+
+	"repro/internal/safemath"
 )
 
 // ErrUnknownSession reports a Read of a session the store has no
@@ -130,17 +132,34 @@ func (s *MemStore) Sessions() ([]string, error) {
 func (s *MemStore) Close() error { return nil }
 
 // FileStore is the crash-safe single-file Store: every session's
-// records interleave in one NDJSON append log, O_APPEND + fsync per
-// Append. Opening the store replays the file into an in-memory
-// per-session mirror; a torn final line (the classic crash artifact of
-// an append in flight) is truncated away, while corruption anywhere
-// before it is an error — bytes the store once acknowledged must never
-// silently disappear.
+// records interleave in one NDJSON append log, one write at the log's
+// end + fsync per Append. Opening the store replays the file into an
+// in-memory per-session mirror; a torn final line (the classic crash
+// artifact of an append in flight) is truncated away, while corruption
+// anywhere before it is an error — bytes the store once acknowledged
+// must never silently disappear. A failed append is truncated away at
+// once, so the next session's records never land behind a torn line.
 type FileStore struct {
-	mu       sync.Mutex
-	f        *os.File
+	mu sync.Mutex
+	f  logFile
+	// size is the log's length: every acknowledged record, nothing
+	// else. Appends write at size, and a failed one is cut back to it.
+	size int64
+	// stuck is set when a failed append could not be cut back: the log
+	// may end in bytes nobody acknowledged, so nothing may follow them.
+	stuck    error
 	sessions map[string][]Record
 	ids      []string // first-append order; sorted on listing
+}
+
+// logFile is what FileStore calls on its log file; *os.File is the
+// implementation, and tests substitute one that fails on demand.
+type logFile interface {
+	io.Reader // the replay at open
+	io.WriterAt
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // OpenFileStore opens (creating if needed) the append log at path and
@@ -193,9 +212,7 @@ func (s *FileStore) load() error {
 			return fmt.Errorf("journal: truncating torn record: %w", err)
 		}
 	}
-	if _, err := s.f.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("journal: seeking store end: %w", err)
-	}
+	s.size = int64(keep)
 	return nil
 }
 
@@ -217,17 +234,33 @@ func (s *FileStore) Append(session string, recs []Record) error {
 	if s.f == nil {
 		return errors.New("journal: store is closed")
 	}
-	if _, err := s.f.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("journal: appending: %w", err)
+	if s.stuck != nil {
+		return fmt.Errorf("journal: store refuses appends after a failed one could not be cut back: %w", s.stuck)
+	}
+	if _, err := s.f.WriteAt(buf.Bytes(), s.size); err != nil {
+		return s.cutBack(fmt.Errorf("journal: appending: %w", err))
 	}
 	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("journal: syncing: %w", err)
+		return s.cutBack(fmt.Errorf("journal: syncing: %w", err))
 	}
+	s.size = safemath.SatAdd(s.size, int64(buf.Len()))
 	if _, ok := s.sessions[session]; !ok {
 		s.ids = append(s.ids, session)
 	}
 	s.sessions[session] = append(s.sessions[session], recs...)
 	return nil
+}
+
+// cutBack truncates the log to its acknowledged length after the
+// append that failed with err, whose bytes may be partly on disk; a
+// fsync error leaves the whole append there, unacknowledged. If the
+// truncation fails too, the store refuses every later append.
+func (s *FileStore) cutBack(err error) error {
+	if terr := s.f.Truncate(s.size); terr != nil {
+		s.stuck = terr
+		return fmt.Errorf("%w; cutting the log back to %d bytes: %w", err, s.size, terr)
+	}
+	return err
 }
 
 // Read implements Store.

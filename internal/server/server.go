@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -242,8 +243,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	var req Request
-	if !s.decode(w, r, &req) {
+	body, readErr := s.readBody(w, r)
+	req, err := DecodeSolve(body, readErr)
+	if !s.decoded(w, err) {
 		return
 	}
 	if s.tooLarge(w, req.Jobs()) {
@@ -308,8 +310,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	var batch batchEnvelope
-	if !s.decode(w, r, &batch) {
+	body, readErr := s.readBody(w, r)
+	batch, err := DecodeBatch(body, readErr)
+	if !s.decoded(w, err) {
 		return
 	}
 	if s.cfg.MaxBatch > 0 && len(batch.Requests) > s.cfg.MaxBatch {
@@ -325,17 +328,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Decode every wire request per item. A malformed or oversized item
+	// Convert every wire request per item. A malformed or oversized item
 	// fails alone — its slot is pre-filled and skipped by the solver —
 	// so one bad request never poisons the batch.
 	kinds := make([]string, len(batch.Requests))
 	reqs := make([]busytime.Request, len(batch.Requests))
 	pre := make([]*Result, len(batch.Requests))
-	for i, raw := range batch.Requests {
-		var wireReq Request
-		if err := json.Unmarshal(raw, &wireReq); err != nil {
+	for i, wireReq := range batch.Requests {
+		if batch.Errs != nil && batch.Errs[i] != nil {
 			s.metrics.badRequests.Add(1)
-			pre[i] = &Result{Error: fmt.Sprintf("server: decoding request: %v", err)}
+			pre[i] = &Result{Error: fmt.Sprintf("server: decoding request: %v", batch.Errs[i])}
 			continue
 		}
 		kinds[i] = wireReq.Kind
@@ -439,23 +441,38 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.writeTo(w)
 }
 
-// decode reads a JSON body under the size cap, reporting 400 (malformed)
-// or 413 (over the body cap) itself.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into interface{}) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(into); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.metrics.rejectedTooLarge.Add(1)
-			httpError(w, http.StatusRequestEntityTooLarge, err)
-			return false
-		}
-		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, fmt.Errorf("server: decoding request: %v", err))
+// maxBodyHint caps the buffer readBody sizes from Content-Length before
+// any byte arrives, so a client cannot make the server allocate the
+// whole body cap by announcing a body it never sends.
+const maxBodyHint = 1 << 20
+
+// readBody reads the request body under the size cap. It returns the
+// bytes read and the error that ended the read early (nil when the body
+// was read to its end); the decoders replay both.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		buf.Grow(int(min(n, maxBodyHint)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	return buf.Bytes(), err
+}
+
+// decoded reports whether a body decoded, writing the 400 (malformed)
+// or 413 (over the body cap) itself when it did not.
+func (s *Server) decoded(w http.ResponseWriter, err error) bool {
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.metrics.rejectedTooLarge.Add(1)
+		httpError(w, http.StatusRequestEntityTooLarge, err)
 		return false
 	}
-	return true
+	s.metrics.badRequests.Add(1)
+	httpError(w, http.StatusBadRequest, fmt.Errorf("server: decoding request: %v", err))
+	return false
 }
 
 // tooLarge applies the per-instance size cap, writing the 413 itself.

@@ -8,7 +8,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -45,15 +44,6 @@ type Request struct {
 type BatchRequest struct {
 	Algorithm string    `json:"algorithm,omitempty"`
 	Requests  []Request `json:"requests"`
-}
-
-// batchEnvelope is the server-side decode shape of BatchRequest: the
-// items stay raw so one malformed request (the instance codec validates
-// eagerly) is unmarshaled — and fails — per item instead of aborting
-// the whole batch decode.
-type batchEnvelope struct {
-	Algorithm string            `json:"algorithm"`
-	Requests  []json.RawMessage `json:"requests"`
 }
 
 // BatchResponse carries one Result per request, order-stable with the

@@ -11,9 +11,12 @@ import (
 // and requires a structured 400 (or 413/422 where noted) for every one —
 // never a panic-driven 500. The rect end < start rows pin a real bug:
 // the codec used to construct the rectangle before validating, and
-// interval.New panics on end < start, crashing the handler.
+// interval.New panics on end < start, crashing the handler. The rows
+// after them are bodies the one-pass decoder declines: each must get
+// the status and error encoding/json gives it, a 200 included.
 func TestServerSolveMalformedInputs(t *testing.T) {
-	ts := newTestServer(t, Config{})
+	ts := newTestServer(t, Config{MaxBodyBytes: 4096})
+	const inst = `{"g":2,"jobs":[{"id":0,"start":0,"end":5}]}`
 	cases := []struct {
 		name   string
 		body   string
@@ -98,6 +101,21 @@ func TestServerSolveMalformedInputs(t *testing.T) {
 			`{"instance":{"g":2,"jobs":[{"id":0,"start":0,"end":5}]},"transition_budget":-3}`,
 			http.StatusBadRequest, "transition budget",
 		},
+		{"float coordinate", `{"instance":{"g":2,"jobs":[{"id":0,"start":1.5,"end":5}]}}`, http.StatusBadRequest, "cannot unmarshal number 1.5"},
+		{"exponent coordinate", `{"instance":{"g":2,"jobs":[{"id":0,"start":0,"end":1e3}]}}`, http.StatusBadRequest, "cannot unmarshal number 1e3"},
+		{"coordinate overflowing int64", `{"instance":{"g":2,"jobs":[{"id":0,"start":0,"end":9223372036854775808}]}}`, http.StatusBadRequest, "cannot unmarshal number 9223372036854775808"},
+		{"null instance", `{"instance":null}`, http.StatusBadRequest, "no instance"},
+		{"escaped key", `{"inst\u0061nce":` + inst + `}`, http.StatusOK, ""},
+		{"case-variant key", `{"Instance":` + inst + `}`, http.StatusOK, ""},
+		// encoding/json keeps the last value: budget 5, not -1.
+		{"duplicate key", `{"kind":"max-throughput","instance":` + inst + `,"budget":-1,"budget":5}`, http.StatusOK, ""},
+		{"unknown key with a nested value", `{"instance":` + inst + `,"note":{"tags":["a",{"b":null}],"w":1.5}}`, http.StatusOK, ""},
+		{"non-ASCII base id", `{"instance":` + inst + `,"base_id":"r-é"}`, http.StatusOK, ""},
+		{"trailing bytes", `{"instance":` + inst + `} {"instance":null} trailing`, http.StatusOK, ""},
+		// The object ends before the body cap, so encoding/json, which
+		// stops reading there, never meets the cap.
+		{"padding past the body cap", `{"instance":` + inst + `}` + strings.Repeat(" ", 5000), http.StatusOK, ""},
+		{"body over the cap", `{"instance":{"g":2,"jobs":[` + strings.Repeat(`{"id":0,"start":0,"end":5},`, 200) + `]}}`, http.StatusRequestEntityTooLarge, "too large"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -113,6 +131,12 @@ func TestServerSolveMalformedInputs(t *testing.T) {
 			if resp.StatusCode != c.status {
 				t.Fatalf("status %d (%v), want %d", resp.StatusCode, out, c.status)
 			}
+			if c.status == http.StatusOK {
+				if out["error"] != nil || out["certified"] != true || out["n"] != 1.0 {
+					t.Fatalf("want a certified 1-job result, got %v", out)
+				}
+				return
+			}
 			msg, _ := out["error"].(string)
 			if msg == "" {
 				t.Fatalf("no structured error in %v", out)
@@ -126,36 +150,82 @@ func TestServerSolveMalformedInputs(t *testing.T) {
 
 // TestServerBatchMalformedRectItem checks a malformed rect request inside
 // a batch fails alone with a structured per-item error (no panic, and no
-// poisoning of its siblings).
+// poisoning of its siblings). The rows after it are batches the one-pass
+// decoder declines whole, for one item or for the envelope: each must
+// get the status and per-item errors encoding/json gives it. A
+// syntactically broken item breaks the envelope's decode, so the whole
+// batch is a 400; an item that parses but does not decode or validate
+// fails alone.
 func TestServerBatchMalformedRectItem(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	body := `{"requests":[
+	ts := newTestServer(t, Config{MaxBodyBytes: 4096})
+	const ok0, ok2 = `{"instance":{"g":2,"jobs":[{"id":0,"start":0,"end":5}]}}`, `{"instance":{"g":2,"jobs":[{"id":0,"start":2,"end":9}]}}`
+	batch := func(items ...string) string { return `{"requests":[` + strings.Join(items, ",") + `]}` }
+	cases := []struct {
+		name   string
+		body   string
+		status int
+		// items holds, per item, "" for a certified result or a
+		// substring of its error; for a non-200 status, the one
+		// substring of the response's error.
+		items []string
+	}{
+		{"malformed rect item", `{"requests":[
 		{"instance":{"g":2,"jobs":[{"id":0,"start":0,"end":5}]}},
 		{"rect":{"g":2,"jobs":[{"id":0,"start1":7,"end1":2,"start2":0,"end2":5}]}},
 		{"instance":{"g":2,"jobs":[{"id":0,"start":2,"end":9}]}}
-	]}`
-	resp, err := http.Post(ts.URL+"/v1/solve/batch", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	]}`, http.StatusOK, []string{"", "end 2 < start 7", ""}},
+		{"semantically invalid item", batch(ok0, `{"instance":{"g":2,"jobs":[{"id":0,"start":0,"end":5},{"id":0,"start":1,"end":6}]}}`, ok2),
+			http.StatusOK, []string{"", "duplicate job ID 0", ""}},
+		{"syntactically broken item", batch(ok0, `{"instance":{"g":2,"jobs":[{"id":0,"start":0,"end":5}]]}`, ok2),
+			http.StatusBadRequest, []string{"decoding request"}},
+		{"float in an item", batch(ok0, `{"instance":{"g":2,"jobs":[{"id":0,"start":2.5,"end":5}]}}`, ok2),
+			http.StatusOK, []string{"", "cannot unmarshal number 2.5", ""}},
+		{"overflow in an item", batch(ok0, `{"instance":{"g":2,"jobs":[{"id":0,"start":0,"end":5}]},"budget":-9223372036854775809}`),
+			http.StatusOK, []string{"", "cannot unmarshal number -9223372036854775809"}},
+		{"null instance item", batch(ok0, `{"instance":null}`), http.StatusOK, []string{"", "no instance"}},
+		{"escaped, case-variant and duplicate keys", `{"Algorithm":"first-fit","requ\u0065sts":[` + ok0 + `],"requests":[` + ok0 + `,` + ok2 + `]}`,
+			http.StatusOK, []string{"", ""}},
+		{"unknown key with a nested value", `{"requests":[` + ok0 + `],"meta":{"x":[1,{"y":null}]}}`, http.StatusOK, []string{""}},
+		{"non-ASCII base id", batch(ok0, `{"instance":{"g":2,"jobs":[{"id":0,"start":2,"end":9}]},"base_id":"r-ü"}`), http.StatusOK, []string{"", ""}},
+		{"trailing bytes", batch(ok0) + ` trailing`, http.StatusOK, []string{""}},
+		{"body over the cap", batch(strings.Repeat(ok0+",", 100) + ok0), http.StatusRequestEntityTooLarge, []string{"too large"}},
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200 with a per-item error", resp.StatusCode)
-	}
-	var out BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 3 {
-		t.Fatalf("%d results, want 3", len(out.Results))
-	}
-	if out.Results[0].Error != "" || !out.Results[0].Certified {
-		t.Errorf("healthy sibling 0 failed: %+v", out.Results[0])
-	}
-	if !strings.Contains(out.Results[1].Error, "end 2 < start 7") {
-		t.Errorf("malformed rect item error = %q", out.Results[1].Error)
-	}
-	if out.Results[2].Error != "" || !out.Results[2].Certified {
-		t.Errorf("healthy sibling 2 failed: %+v", out.Results[2])
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/solve/batch", "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != c.status {
+				t.Fatalf("status %d, want %d", resp.StatusCode, c.status)
+			}
+			if c.status != http.StatusOK {
+				var out map[string]string
+				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+					t.Fatalf("non-JSON error response: %v", err)
+				}
+				if !strings.Contains(out["error"], c.items[0]) {
+					t.Fatalf("error %q does not mention %q", out["error"], c.items[0])
+				}
+				return
+			}
+			var out BatchResponse
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			if len(out.Results) != len(c.items) {
+				t.Fatalf("%d results, want %d", len(out.Results), len(c.items))
+			}
+			for i, want := range c.items {
+				got := out.Results[i]
+				switch {
+				case want == "" && (got.Error != "" || !got.Certified):
+					t.Errorf("healthy item %d failed: %+v", i, got)
+				case want != "" && !strings.Contains(got.Error, want):
+					t.Errorf("item %d error = %q, want it to mention %q", i, got.Error, want)
+				}
+			}
+		})
 	}
 }
