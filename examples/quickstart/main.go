@@ -7,6 +7,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	busytime "repro"
 )
@@ -34,8 +36,9 @@ func main() {
 	fmt.Printf("algorithm: %s\n", res.Algorithm)
 	fmt.Printf("busy time: %d (lower bound %d, one-machine-per-job %d, ratio-vs-LB %.3f)\n",
 		res.Cost, res.LowerBound, in.TotalLen(), res.RatioVsBound)
-	for machine, jobs := range res.Schedule.MachineJobs() {
-		fmt.Printf("  machine %d runs jobs %v\n", machine, jobs)
+	byMachine := res.Schedule.MachineJobs()
+	for _, machine := range slices.Sorted(maps.Keys(byMachine)) {
+		fmt.Printf("  machine %d runs jobs %v\n", machine, byMachine[machine])
 	}
 	if err := res.Certificate(); err != nil {
 		log.Fatal(err)

@@ -10,8 +10,8 @@
 //     protocol (vet.go).
 //
 // Both modes produce identical findings on a clean checkout because
-// both feed analyzers the same inputs: the package's non-test files and
-// full type information.
+// both load a package through loadPackage, which feeds analyzers the
+// same inputs: the package's non-test files and full type information.
 package driver
 
 import (
@@ -95,7 +95,15 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Findi
 
 	var out []Finding
 	for _, p := range targets {
-		diags, err := analyzePackage(fset, imp, p, analyzers)
+		paths := make([]string, len(p.GoFiles))
+		for i, name := range p.GoFiles {
+			paths[i] = filepath.Join(p.Dir, name)
+		}
+		pkg, err := loadPackage(fset, imp, p.ImportPath, paths)
+		if err != nil {
+			return nil, err
+		}
+		diags, err := analysis.Run(pkg, analyzers)
 		if err != nil {
 			return nil, err
 		}
@@ -133,23 +141,30 @@ func goList(dir string, patterns []string) ([]*listPackage, error) {
 	return pkgs, nil
 }
 
-func analyzePackage(fset *token.FileSet, imp types.Importer, p *listPackage, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	var files []*ast.File
-	for _, name := range p.GoFiles {
-		path := filepath.Join(p.Dir, name)
+// loadPackage parses the files at paths, typechecks them as importPath
+// against imp, and returns what analyzers see: full type information,
+// but only the non-test files. A vet unit's test variant still
+// typechecks with its extra files; it just produces no extra findings.
+// This one filter is what keeps the two drivers' finding counts equal.
+func loadPackage(fset *token.FileSet, imp types.Importer, importPath string, paths []string) (*analysis.Package, error) {
+	var files, prod []*ast.File
+	for _, path := range paths {
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
+		if !analysis.IsTestFile(path) {
+			prod = append(prod, f)
+		}
 	}
 	info := analysis.NewInfo()
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
+	tpkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %v", p.ImportPath, err)
+		return nil, fmt.Errorf("typecheck %s: %v", importPath, err)
 	}
-	return analysis.Run(&analysis.Package{Fset: fset, Files: files, Types: tpkg, Info: info}, analyzers)
+	return &analysis.Package{Fset: fset, Files: prod, Types: tpkg, Info: info}, nil
 }
 
 // Main is the standalone entry point: it parses busylint's own flags,

@@ -4,11 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"path/filepath"
@@ -120,18 +117,6 @@ func vetUnit(cfgPath string, analyzers []*analysis.Analyzer) int {
 	}
 
 	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "busylint:", err)
-			return 2
-		}
-		files = append(files, f)
-	}
 	imp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
 		if mapped, ok := cfg.ImportMap[path]; ok {
 			path = mapped
@@ -142,29 +127,15 @@ func vetUnit(cfgPath string, analyzers []*analysis.Analyzer) int {
 		}
 		return os.Open(file)
 	})
-	info := analysis.NewInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
+	pkg, err := loadPackage(fset, imp, cfg.ImportPath, cfg.GoFiles)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0
 		}
-		fmt.Fprintf(os.Stderr, "busylint: typecheck %s: %v\n", cfg.ImportPath, err)
+		fmt.Fprintln(os.Stderr, "busylint:", err)
 		return 2
 	}
-
-	// Analyzers see only non-test files, matching the standalone
-	// driver, so `go vet -vettool=` and `busylint ./...` agree on the
-	// finding count. Test variants of a package unit still typecheck
-	// above (their extra files and deps are in the cfg), they just
-	// produce no extra findings.
-	var prodFiles []*ast.File
-	for _, f := range files {
-		if !analysis.IsTestFile(fset.Position(f.Package).Filename) {
-			prodFiles = append(prodFiles, f)
-		}
-	}
-	diags, err := analysis.Run(&analysis.Package{Fset: fset, Files: prodFiles, Types: tpkg, Info: info}, analyzers)
+	diags, err := analysis.Run(pkg, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "busylint:", err)
 		return 2

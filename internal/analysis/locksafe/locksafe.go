@@ -3,20 +3,21 @@
 //
 //  1. Release on all paths: every sync.Mutex/RWMutex Lock or RLock must
 //     be released on every control-flow path out of the function — early
-//     returns and explicit panics included. A reached `defer mu.Unlock()`
-//     satisfies every later exit (that is exactly what defer guarantees,
-//     panic unwinding included); an Unlock on the straight-line path
-//     satisfies only the exits it dominates. The analysis is a forward
-//     may-held dataflow: a lock still held on ANY path into the exit
-//     block is a finding, reported at its acquisition site.
+//     returns and explicit panics included. This is the shared
+//     acquire/release pair analysis (internal/analysis/pairs): a reached
+//     `defer mu.Unlock()` satisfies every later exit (that is exactly
+//     what defer guarantees, panic unwinding included); an Unlock on the
+//     straight-line path satisfies only the exits it dominates. A lock
+//     still held on ANY path into the exit block is a finding, reported
+//     at its acquisition site.
 //
 //  2. Consistent acquisition order: within a package, if one function
 //     acquires lock B while holding lock A and another acquires A while
-//     holding B, the pair can deadlock when the functions race. Held-at
-//     acquisition pairs are collected from the same dataflow facts
-//     (keyed by struct field or package-level variable, so the order is
-//     comparable across functions) and inversions are reported at the
-//     later-seen acquisition.
+//     holding B, the pair can deadlock when the functions race. Every
+//     acquisition records "held → acquired" edges between locks with a
+//     cross-function identity (a package-level variable, a struct field,
+//     or a receiver embedding the mutex), and inversions are reported at
+//     the later-seen acquisition.
 //
 // Also flagged: re-acquiring a write lock already held on every path to
 // the call (`mu.Lock()` twice) — a guaranteed self-deadlock. TryLock is
@@ -27,15 +28,13 @@
 package locksafe
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/cfg"
-	"repro/internal/analysis/dataflow"
+	"repro/internal/analysis/pairs"
 )
 
 // ScopePrefixes lists the packages checked: the whole tree — every
@@ -51,208 +50,56 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// lockOp classifies one call site touching a mutex.
-type lockOp int
-
-const (
-	opNone lockOp = iota
-	opLock
-	opUnlock
-)
-
-// lockMode distinguishes the write and read halves of an RWMutex.
-type lockMode byte
-
-const (
-	modeWrite lockMode = 'W'
-	modeRead  lockMode = 'R'
-)
-
-// lockState is one held lock: where it was first acquired, and whether
-// a `defer Unlock` reached on every path to here already guarantees its
-// release at function exit. A deferred-released lock is still held
-// right now — it participates in the ordering check and the
-// self-deadlock check — but it cannot leak through an exit.
-type lockState struct {
-	pos      token.Pos
-	deferred bool
-}
-
-// held is the dataflow fact: locks that may be held, keyed by the
-// receiver expression (e.g. "s.mu") plus mode.
-type held map[string]lockState
-
-func (h held) clone() held {
-	c := make(held, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-func heldEqual(a, b held) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if w, ok := b[k]; !ok || w != v {
-			return false
-		}
-	}
-	return true
-}
-
-// join is the may-union: earliest acquisition position wins (a finding
-// points at the first Lock that can leak), and the release-at-exit
-// guarantee survives only if every joining path has it.
-func join(a, b held) held {
-	u := a.clone()
-	for k, v := range b {
-		w, ok := u[k]
-		if !ok {
-			u[k] = v
-			continue
-		}
-		if v.pos < w.pos {
-			w.pos = v.pos
-		}
-		w.deferred = w.deferred && v.deferred
-		u[k] = w
-	}
-	return u
+// lock is one held lock within a function: the receiver expression as
+// written ("s.mu"), the read or write half, and the lock's identity
+// across the package's functions ("" when it has none).
+type lock struct {
+	expr string
+	read bool
+	id   string
 }
 
 // orderEdge records "to was acquired while from was held" for the
 // package-wide ordering check.
 type orderEdge struct{ from, to string }
 
-type orderGraph struct {
-	edges map[orderEdge]token.Pos // earliest site per direction
-}
-
 func run(pass *analysis.Pass) error {
 	if !analysis.InScope(pass.Pkg.Path(), ScopePrefixes) {
 		return nil
 	}
-	order := &orderGraph{edges: map[orderEdge]token.Pos{}}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
+	order := map[orderEdge]token.Pos{} // earliest site per direction
+	a := pairs.Analysis[lock]{
+		Classify: func(n ast.Node) (lock, pairs.Op) { return classify(pass, n) },
+		Acquired: func(l lock, pos token.Pos, held pairs.Held[lock]) {
+			if _, dup := held[l]; dup && !l.read {
+				pass.Reportf(pos, "%s.Lock() while %s may already be held: self-deadlock", l.expr, l.expr)
 			}
-			if body != nil {
-				checkFunc(pass, body, order)
+			if l.id == "" {
+				return
 			}
-			return true
-		})
+			for h := range held {
+				if h.id == "" || h.id == l.id {
+					continue
+				}
+				e := orderEdge{h.id, l.id}
+				if prev, ok := order[e]; !ok || pos < prev {
+					order[e] = pos
+				}
+			}
+		},
 	}
-	order.reportInversions(pass)
-	return nil
-}
-
-// checkFunc runs the may-held analysis over one function body and
-// reports locks that can leak through an exit, write locks re-acquired
-// while held, and feeds the ordering graph.
-func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, order *orderGraph) {
-	g := cfg.New(body)
-	res := dataflow.Forward(g, dataflow.Problem[held]{
-		Entry:    held{},
-		Join:     join,
-		Transfer: func(b *cfg.Block, in held) held { return transfer(pass, b, in, nil, nil) },
-		Equal:    heldEqual,
+	pairs.Funcs(pass.Files, func(body *ast.BlockStmt) {
+		for _, leak := range pairs.Check(body, a) {
+			l := leak.Key
+			what, verb := "lock", "Unlock"
+			if l.read {
+				what, verb = "read lock", "RUnlock"
+			}
+			pass.Reportf(leak.Pos, "%s %s may still be held on some path out of the function; add defer %s.%s() or release it before every return", what, l.expr, l.expr, verb)
+		}
 	})
-
-	// Reporting pass: replay each reachable block once on its solved
-	// input fact. Reports must not come from inside the fixpoint (a
-	// block transfers many times); this single deterministic replay in
-	// block order reports each site exactly once.
-	reported := map[token.Pos]bool{}
-	for _, b := range g.Blocks {
-		in, ok := res.In[b]
-		if !ok {
-			continue // unreachable
-		}
-		transfer(pass, b, in, order, func(pos token.Pos, format string, args ...any) {
-			if !reported[pos] {
-				reported[pos] = true
-				pass.Reportf(pos, format, args...)
-			}
-		})
-	}
-
-	if exit, ok := res.In[g.Exit]; ok {
-		keys := make([]string, 0, len(exit))
-		for k := range exit {
-			if !exit[k].deferred {
-				keys = append(keys, k)
-			}
-		}
-		sort.Slice(keys, func(i, j int) bool { return exit[keys[i]].pos < exit[keys[j]].pos })
-		for _, k := range keys {
-			expr, mode := splitKey(k)
-			verb := "Unlock"
-			if mode == modeRead {
-				verb = "RUnlock"
-			}
-			pass.Reportf(exit[k].pos, "%s may still be held on some path out of the function; add defer %s.%s() or release it before every return", describeLock(expr, mode), expr, verb)
-		}
-	}
-}
-
-// transfer applies one block's lock operations to the fact. When report
-// is non-nil (the replay pass) it also reports double write-locks and
-// records ordering edges.
-func transfer(pass *analysis.Pass, b *cfg.Block, in held, order *orderGraph, report func(token.Pos, string, ...any)) held {
-	out := in.clone()
-	for _, n := range b.Stmts {
-		if deferStmt, ok := n.(*ast.DeferStmt); ok {
-			// A reached defer guarantees the release at every later exit
-			// (normal or panicking): the lock stays held — it still
-			// orders against later acquisitions — but cannot leak.
-			if key, op, _ := classify(pass, deferStmt.Call); op == opUnlock {
-				if st, ok := out[key]; ok {
-					st.deferred = true
-					out[key] = st
-				}
-			}
-			continue
-		}
-		ast.Inspect(n, func(m ast.Node) bool {
-			if _, isLit := m.(*ast.FuncLit); isLit {
-				return false // a closure's locks are its own function's problem
-			}
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			key, op, mode := classify(pass, call)
-			switch op {
-			case opLock:
-				if report != nil {
-					if _, dup := out[key]; dup && mode == modeWrite {
-						expr, _ := splitKey(key)
-						report(call.Pos(), "%s.Lock() while %s may already be held: self-deadlock", expr, expr)
-					}
-					if order != nil {
-						order.record(pass, out, key, call.Pos())
-					}
-				}
-				if _, dup := out[key]; !dup {
-					out[key] = lockState{pos: call.Pos()}
-				}
-			case opUnlock:
-				delete(out, key)
-			}
-			return true
-		})
-	}
-	return out
+	reportInversions(pass, order)
+	return nil
 }
 
 // classify resolves a call to a lock operation on a sync mutex: the
@@ -260,32 +107,73 @@ func transfer(pass *analysis.Pass, b *cfg.Block, in held, order *orderGraph, rep
 // sync.Mutex, sync.RWMutex or sync.Locker (embedded mutexes resolve
 // through the method's declared receiver, so `s.Lock()` on a struct
 // embedding sync.Mutex is recognized).
-func classify(pass *analysis.Pass, call *ast.CallExpr) (key string, op lockOp, mode lockMode) {
+func classify(pass *analysis.Pass, n ast.Node) (lock, pairs.Op) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return lock{}, pairs.None
+	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", opNone, modeWrite
+		return lock{}, pairs.None
 	}
+	var op pairs.Op
+	read := false
 	switch sel.Sel.Name {
 	case "Lock":
-		op, mode = opLock, modeWrite
+		op = pairs.Acquire
 	case "RLock":
-		op, mode = opLock, modeRead
+		op, read = pairs.Acquire, true
 	case "Unlock":
-		op, mode = opUnlock, modeWrite
+		op = pairs.Release
 	case "RUnlock":
-		op, mode = opUnlock, modeRead
+		op, read = pairs.Release, true
 	default:
-		return "", opNone, modeWrite
+		return lock{}, pairs.None
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if !ok {
-		return "", opNone, modeWrite
+		return lock{}, pairs.None
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil || !isSyncLockType(sig.Recv().Type()) {
-		return "", opNone, modeWrite
+		return lock{}, pairs.None
 	}
-	return types.ExprString(sel.X) + ":" + string(mode), op, mode
+	return lock{expr: types.ExprString(sel.X), read: read, id: identity(pass, sel.X)}, op
+}
+
+// identity names the lock x denotes across the package's functions, so
+// orders taken in different functions compare: a package-level
+// variable is "pkg.name" (found by its object, so a local of the same
+// name is not it), a struct field "pkg.Type.field", and a receiver
+// embedding the mutex "pkg.Type.(embedded)". A value whose own type is
+// a sync lock — a local mutex, a parameter — has no identity.
+func identity(pass *analysis.Pass, x ast.Expr) string {
+	var name *ast.Ident
+	var owner ast.Expr // the struct value a field is selected from
+	switch x := x.(type) {
+	case *ast.Ident:
+		name = x
+	case *ast.SelectorExpr:
+		name, owner = x.Sel, x.X
+	default:
+		return ""
+	}
+	v, ok := pass.TypesInfo.Uses[name].(*types.Var)
+	switch {
+	case !ok:
+		return ""
+	case v.IsField():
+		if base := namedTypeOf(pass.TypesInfo.TypeOf(owner)); base != "" {
+			return base + "." + v.Name()
+		}
+	case v.Pkg() != nil && v.Parent() == v.Pkg().Scope():
+		return v.Pkg().Path() + "." + v.Name()
+	case !isSyncLockType(v.Type()):
+		if base := namedTypeOf(v.Type()); base != "" {
+			return base + ".(embedded)"
+		}
+	}
+	return ""
 }
 
 func isSyncLockType(t types.Type) bool {
@@ -310,101 +198,6 @@ func isSyncLockType(t types.Type) bool {
 	return false
 }
 
-func splitKey(key string) (expr string, mode lockMode) {
-	return key[:len(key)-2], lockMode(key[len(key)-1])
-}
-
-func describeLock(expr string, mode lockMode) string {
-	if mode == modeRead {
-		return fmt.Sprintf("read lock %s", expr)
-	}
-	return fmt.Sprintf("lock %s", expr)
-}
-
-// record adds "newKey acquired while h held" edges. Only locks with a
-// cross-function identity participate: struct fields and package-level
-// variables, normalized so s.mu in one method and c.mu in another
-// compare equal when they are the same field of the same type.
-func (o *orderGraph) record(pass *analysis.Pass, h held, newKey string, pos token.Pos) {
-	to := stableLockID(pass, newKey, pos)
-	if to == "" {
-		return
-	}
-	for heldKey, heldSt := range h {
-		from := stableLockID(pass, heldKey, heldSt.pos)
-		if from == "" || from == to {
-			continue
-		}
-		e := orderEdge{from, to}
-		if prev, ok := o.edges[e]; !ok || pos < prev {
-			o.edges[e] = pos
-		}
-	}
-}
-
-// stableIDs memoizes per (expr key, acquisition pos) — but positions
-// differ per site, so resolution happens through the type information
-// of the flagged call's receiver, captured at classify time. To keep
-// the analyzer single-pass, stableLockID re-resolves from the key's
-// expression text against the package scope: a.b.mu-style selectors
-// resolve to TypeOfB.mu, bare identifiers to package-level variables.
-func stableLockID(pass *analysis.Pass, key string, pos token.Pos) string {
-	expr, _ := splitKey(key)
-	// Package-level variable (e.g. registry's `mu`)?
-	if obj := pass.Pkg.Scope().Lookup(expr); obj != nil {
-		if _, isVar := obj.(*types.Var); isVar {
-			return pass.Pkg.Path() + "." + expr
-		}
-	}
-	// Field selector: find the AST node at pos and type the base.
-	v := &fieldFinder{pass: pass, pos: pos}
-	for _, f := range pass.Files {
-		if f.Pos() <= pos && pos <= f.End() {
-			ast.Inspect(f, v.visit)
-		}
-	}
-	return v.id
-}
-
-// fieldFinder locates the lock call at pos and renders a type-qualified
-// identity "pkg.Type.field" for its receiver field, empty when the
-// receiver is not a named struct field (e.g. a local mutex).
-type fieldFinder struct {
-	pass *analysis.Pass
-	pos  token.Pos
-	id   string
-}
-
-func (v *fieldFinder) visit(n ast.Node) bool {
-	if v.id != "" || n == nil || !(n.Pos() <= v.pos && v.pos <= n.End()) {
-		return false
-	}
-	call, ok := n.(*ast.CallExpr)
-	if !ok || call.Pos() != v.pos {
-		return true
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return true
-	}
-	// The lock value is sel.X: either itself a field selector (s.mu) or
-	// a receiver embedding the mutex (s with sync.Mutex embedded).
-	switch x := sel.X.(type) {
-	case *ast.SelectorExpr:
-		if fieldObj, ok := v.pass.TypesInfo.Uses[x.Sel].(*types.Var); ok && fieldObj.IsField() {
-			if base := namedTypeOf(v.pass.TypesInfo.TypeOf(x.X)); base != "" {
-				v.id = base + "." + x.Sel.Name
-			}
-		}
-	case *ast.Ident:
-		// Embedded mutex: s.Lock() — identity is the receiver's type.
-		if base := namedTypeOf(v.pass.TypesInfo.TypeOf(x)); base != "" {
-			v.id = base + ".(embedded)"
-		}
-	}
-	return true
-}
-
 func namedTypeOf(t types.Type) string {
 	if t == nil {
 		return ""
@@ -421,7 +214,7 @@ func namedTypeOf(t types.Type) string {
 
 // reportInversions reports every lock pair acquired in both orders
 // somewhere in the package, once per pair, at the later-seen site.
-func (o *orderGraph) reportInversions(pass *analysis.Pass) {
+func reportInversions(pass *analysis.Pass, order map[orderEdge]token.Pos) {
 	type finding struct {
 		pos      token.Pos
 		a, b     string
@@ -429,9 +222,9 @@ func (o *orderGraph) reportInversions(pass *analysis.Pass) {
 	}
 	var out []finding
 	seen := map[orderEdge]bool{}
-	for e, pos := range o.edges {
+	for e, pos := range order {
 		rev := orderEdge{e.to, e.from}
-		revPos, ok := o.edges[rev]
+		revPos, ok := order[rev]
 		if !ok || seen[e] || seen[rev] {
 			continue
 		}

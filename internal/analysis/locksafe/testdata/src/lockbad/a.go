@@ -1,6 +1,7 @@
 // Package lockbad exercises every flagging path of busylint/locksafe:
 // leaks through early returns, panics, switches, a self-deadlock, and a
-// lock-order inversion across two methods.
+// lock-order inversion between two fields, two package-level locks,
+// and an embedded lock and a field lock.
 package lockbad
 
 import "sync"
@@ -86,4 +87,47 @@ func (t *T) BA() {
 	t.a.Lock() // want `lock order inversion`
 	t.a.Unlock()
 	t.b.Unlock()
+}
+
+var (
+	regMu   sync.Mutex
+	cacheMu sync.Mutex
+)
+
+// RegThenCache takes the package-level locks in one order.
+func RegThenCache() {
+	regMu.Lock()
+	cacheMu.Lock()
+	cacheMu.Unlock()
+	regMu.Unlock()
+}
+
+// CacheThenReg takes them in the other.
+func CacheThenReg() {
+	cacheMu.Lock()
+	regMu.Lock() // want `lock order inversion: lockbad\.regMu acquired while holding lockbad\.cacheMu`
+	regMu.Unlock()
+	cacheMu.Unlock()
+}
+
+// Reg embeds its mutex and points at a T.
+type Reg struct {
+	sync.Mutex
+	t *T
+}
+
+// OuterFirst takes the embedded lock, then t.a.
+func (r *Reg) OuterFirst() {
+	r.Lock()
+	r.t.a.Lock()
+	r.t.a.Unlock()
+	r.Unlock()
+}
+
+// FieldFirst takes t.a, then the embedded lock.
+func (r *Reg) FieldFirst() {
+	r.t.a.Lock()
+	r.Lock() // want `lock order inversion: lockbad\.Reg\.\(embedded\) acquired while holding lockbad\.T\.a`
+	r.Unlock()
+	r.t.a.Unlock()
 }

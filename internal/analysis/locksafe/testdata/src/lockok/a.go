@@ -1,7 +1,8 @@
 // Package lockok holds the sanctioned locking shapes busylint/locksafe
 // must accept without a finding: deferred release (panic paths
 // included), explicit release on every path, per-iteration lock/unlock,
-// read/write splits, consistent ordering and the ignored TryLock.
+// read/write splits, consistent ordering, local mutexes (which order
+// against nothing) and the ignored TryLock.
 package lockok
 
 import "sync"
@@ -103,4 +104,43 @@ func (s *S) ClosureOwnsItsLock() func() {
 		defer s.mu.Unlock()
 		s.v++
 	}
+}
+
+// LocalThenField and FieldThenLocal take two unrelated local mutexes
+// around t.a in opposite orders: a local mutex has no identity outside
+// its function, so there is no order to invert.
+func (t *T) LocalThenField() {
+	var mu sync.Mutex
+	mu.Lock()
+	t.a.Lock()
+	t.a.Unlock()
+	mu.Unlock()
+}
+
+func (t *T) FieldThenLocal() {
+	var other sync.Mutex
+	t.a.Lock()
+	other.Lock()
+	other.Unlock()
+	t.a.Unlock()
+}
+
+var registryMu sync.Mutex
+
+// Register takes the package-level registryMu before t.a.
+func (t *T) Register() {
+	registryMu.Lock()
+	t.a.Lock()
+	t.a.Unlock()
+	registryMu.Unlock()
+}
+
+// ShadowedName takes a local mutex named like the package-level lock
+// inside t.a: it is a different lock, so this is no inversion.
+func (t *T) ShadowedName() {
+	var registryMu sync.Mutex
+	t.a.Lock()
+	registryMu.Lock()
+	registryMu.Unlock()
+	t.a.Unlock()
 }

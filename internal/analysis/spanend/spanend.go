@@ -5,19 +5,24 @@
 // write — an early error return between trace.Start and End — and
 // invisible at runtime, because an unended span still renders.
 //
-// The analyzer inspects every trace.Start call in scope and requires
-// the returned span to be ended on all paths. Accepted shapes:
+// Every span bound by trace.Start must be ended on every path out of
+// the function. This is the acquire/release pair analysis locksafe
+// runs for mutexes (internal/analysis/pairs): `_, sp := trace.Start(…)`
+// acquires the span, keyed by the variable's object (a shadowing
+// variable is a different span), and sp.End() releases it. Accepted
+// shapes:
 //
 //	_, sp := trace.Start(ctx, "phase")
-//	defer sp.End()                      // the canonical form
+//	defer sp.End()                      // covers every later exit
 //
-// or an explicit sp.End() with no return statement between the Start
-// and the first End — the straight-line shape the solver's hot path
-// uses to snapshot the span before the function returns. Flagged:
-// discarding the span (blank identifier or bare call statement),
-// never calling End, and any return that can leave the span running.
-// A site that hands span ownership elsewhere may carry a
-// //lint:ignore busylint/spanend suppression explaining who ends it.
+// or an explicit sp.End() on every path to every exit — the shape the
+// solver's hot path uses to snapshot the span before the function
+// returns. A span that may still be running on some path out of the
+// function is reported once, at its Start. Also flagged, syntactically:
+// discarding the span (a bare call statement) or binding it to the
+// blank identifier. A site that hands span ownership elsewhere may
+// carry a //lint:ignore busylint/spanend suppression explaining who
+// ends it.
 package spanend
 
 import (
@@ -26,6 +31,7 @@ import (
 	"path"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/pairs"
 )
 
 // ScopePrefixes lists the packages whose trace.Start calls are policed:
@@ -36,8 +42,8 @@ var ScopePrefixes = []string{"repro"}
 // Analyzer is the busylint/spanend analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "spanend",
-	Doc: "requires every span returned by trace.Start to be ended on all paths " +
-		"(defer sp.End(), or End before any return); unended spans corrupt durations and snapshots",
+	Doc: "requires every span returned by trace.Start to be ended on every CFG path out of the function " +
+		"(defer sp.End() covers every later exit); unended spans corrupt durations and snapshots",
 	Run: run,
 }
 
@@ -47,128 +53,71 @@ func run(pass *analysis.Pass) error {
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkFunc(pass, body)
+			switch n := n.(type) {
+			case *ast.ExprStmt:
+				if call, ok := n.X.(*ast.CallExpr); ok && isTraceStart(pass, call) {
+					pass.Reportf(call.Pos(), "the span returned by trace.Start is discarded and can never be ended")
+				}
+			case *ast.AssignStmt:
+				if call, span := startAssign(pass, n); call != nil && span == nil {
+					pass.Reportf(call.Pos(), "the span returned by trace.Start is assigned to the blank identifier and can never be ended")
+				}
 			}
 			return true
 		})
 	}
+	a := pairs.Analysis[types.Object]{
+		Classify: func(n ast.Node) (types.Object, pairs.Op) { return classify(pass, n) },
+	}
+	pairs.Funcs(pass.Files, func(body *ast.BlockStmt) {
+		for _, leak := range pairs.Check(body, a) {
+			name := leak.Key.Name()
+			pass.Reportf(leak.Pos, "span %s may still be running on some path out of the function; add defer %s.End() or end it before every return", name, name)
+		}
+	})
 	return nil
 }
 
-// checkFunc finds the trace.Start calls directly inside one function
-// body (nested function literals are visited as their own functions by
-// run, so their spans are checked against their own bodies).
-func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false // owned by its own checkFunc pass
+// classify makes `x, sp := trace.Start(…)` (or `=`) the acquisition of
+// sp's span and sp.End() its release, both keyed by sp's object.
+func classify(pass *analysis.Pass, n ast.Node) (types.Object, pairs.Op) {
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		if _, span := startAssign(pass, n); span != nil {
+			if obj := pass.TypesInfo.ObjectOf(span); obj != nil {
+				return obj, pairs.Acquire
+			}
 		}
-		switch stmt := n.(type) {
-		case *ast.ExprStmt:
-			if call, ok := stmt.X.(*ast.CallExpr); ok && isTraceStart(pass, call) {
-				pass.Reportf(call.Pos(), "the span returned by trace.Start is discarded and can never be ended")
-			}
-		case *ast.AssignStmt:
-			call, ok := startCall(pass, stmt)
-			if !ok {
-				return true
-			}
-			span := spanIdent(stmt)
-			if span == nil {
-				pass.Reportf(call.Pos(), "the span returned by trace.Start is assigned to the blank identifier and can never be ended")
-				return true
-			}
-			checkSpanUse(pass, body, call, span)
-		}
-		return true
-	})
-}
-
-// startCall returns the trace.Start call on the right-hand side of an
-// assignment, if any.
-func startCall(pass *analysis.Pass, stmt *ast.AssignStmt) (*ast.CallExpr, bool) {
-	if len(stmt.Rhs) != 1 {
-		return nil, false
-	}
-	call, ok := stmt.Rhs[0].(*ast.CallExpr)
-	if !ok || !isTraceStart(pass, call) {
-		return nil, false
-	}
-	return call, true
-}
-
-// spanIdent returns the identifier binding the span (the second result
-// of trace.Start), or nil when it is blank or the shape is unexpected.
-func spanIdent(stmt *ast.AssignStmt) *ast.Ident {
-	if len(stmt.Lhs) != 2 {
-		return nil
-	}
-	id, ok := stmt.Lhs[1].(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	return id
-}
-
-// checkSpanUse enforces the lifetime discipline for one started span:
-// a defer sp.End() anywhere in the function accepts the site outright;
-// otherwise there must be at least one sp.End() call, and no return
-// statement may appear between the Start and the first End.
-func checkSpanUse(pass *analysis.Pass, body *ast.BlockStmt, call *ast.CallExpr, span *ast.Ident) {
-	obj := pass.TypesInfo.Defs[span]
-	if obj == nil {
-		obj = pass.TypesInfo.Uses[span]
-	}
-	endPos := call.End()
-	firstEnd := body.End()
-	haveEnd := false
-	deferred := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.DeferStmt:
-			if isSpanEnd(pass, s.Call, span, obj) {
-				deferred = true
-			}
-		case *ast.CallExpr:
-			if isSpanEnd(pass, s, span, obj) && s.Pos() > endPos {
-				haveEnd = true
-				if s.Pos() < firstEnd {
-					firstEnd = s.Pos()
+	case *ast.CallExpr:
+		if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "End" {
+			if id, ok := sel.X.(*ast.Ident); ok {
+				if obj := pass.TypesInfo.Uses[id]; obj != nil {
+					return obj, pairs.Release
 				}
 			}
 		}
-		return true
-	})
-	if deferred {
-		return
 	}
-	if !haveEnd {
-		pass.Reportf(call.Pos(), "span %s is started but never ended; add defer %s.End()", span.Name, span.Name)
-		return
+	return nil, pairs.None
+}
+
+// startAssign returns the trace.Start call an assignment takes its
+// values from, if any, and the identifier binding the span (the second
+// result) — nil when that is blank or not a plain identifier.
+func startAssign(pass *analysis.Pass, stmt *ast.AssignStmt) (*ast.CallExpr, *ast.Ident) {
+	if len(stmt.Rhs) != 1 {
+		return nil, nil
 	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false // a return inside a closure does not exit this function
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		if ret.Pos() > endPos && ret.Pos() < firstEnd {
-			pass.Reportf(ret.Pos(), "return may leave span %s unended; use defer %s.End() or end it before returning", span.Name, span.Name)
-		}
-		return true
-	})
+	call, ok := stmt.Rhs[0].(*ast.CallExpr)
+	if !ok || !isTraceStart(pass, call) {
+		return nil, nil
+	}
+	if len(stmt.Lhs) != 2 {
+		return call, nil
+	}
+	if id, ok := stmt.Lhs[1].(*ast.Ident); ok && id.Name != "_" {
+		return call, id
+	}
+	return call, nil
 }
 
 // isTraceStart reports whether call resolves to the Start function of a
@@ -183,24 +132,4 @@ func isTraceStart(pass *analysis.Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	return path.Base(fn.Pkg().Path()) == "trace" && fn.Type().(*types.Signature).Recv() == nil
-}
-
-// isSpanEnd reports whether call is span.End() on the identifier bound
-// by the Start assignment (matched by object identity, not name, so a
-// shadowed variable does not satisfy the original span).
-func isSpanEnd(pass *analysis.Pass, call *ast.CallExpr, span *ast.Ident, obj types.Object) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "End" {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok || id.Name != span.Name {
-		return false
-	}
-	if obj != nil {
-		if used := pass.TypesInfo.Uses[id]; used != nil {
-			return used == obj
-		}
-	}
-	return true
 }

@@ -26,8 +26,8 @@ func DeferredWithReturns(ctx context.Context, fail bool) error {
 	return nil
 }
 
-// StraightLine ends the span explicitly with no return in between —
-// the solver's hot-path shape, which snapshots after End.
+// StraightLine ends the span explicitly on the one path out — the
+// solver's hot-path shape, which snapshots after End.
 func StraightLine(ctx context.Context) {
 	_, sp := trace.Start(ctx, "phase")
 	sp.SetAttr("k", "v")
@@ -35,7 +35,7 @@ func StraightLine(ctx context.Context) {
 }
 
 // BranchEnd ends the span on the early-exit branch before returning,
-// and again on the fall-through: every return sits after an End.
+// and again on the fall-through: every path out ends it.
 func BranchEnd(ctx context.Context, fail bool) error {
 	_, sp := trace.Start(ctx, "phase")
 	if fail {
@@ -57,6 +57,17 @@ func ClosureReturn(ctx context.Context) {
 		return n
 	}
 	_ = f(1)
+	sp.End()
+}
+
+// Shadowed ends both spans: the inner sp shadows the outer one and is
+// ended on its own.
+func Shadowed(ctx context.Context, nested bool) {
+	_, sp := trace.Start(ctx, "outer")
+	if nested {
+		_, sp := trace.Start(ctx, "inner")
+		sp.End()
+	}
 	sp.End()
 }
 

@@ -8,12 +8,13 @@ import (
 	"repro/internal/safemath"
 )
 
-// SessionFor builds a fresh online session from journaled open
-// parameters: the strategy is resolved in the registry by name, budget
-// rules mirror the serving layer (a budget requires an admission-control
-// strategy; an admission-control strategy requires a budget — without
-// one it silently degenerates to plain BestFit, which a certificate must
-// never do quietly). The canonical strategy name is returned alongside.
+// SessionFor builds a fresh online session from open parameters, for a
+// session the server opens and for one rebuilt from its journal alike:
+// the strategy is resolved in the registry by name, and the budget rule
+// is enforced (a budget requires an admission-control strategy; an
+// admission-control strategy requires a budget — without one it
+// silently degenerates to plain BestFit, which a certificate must never
+// do quietly). The canonical strategy name is returned alongside.
 func SessionFor(p OpenParams) (*online.Session, string, error) {
 	if p.Strategy == "" {
 		return nil, "", fmt.Errorf("journal: open record names no strategy")
@@ -29,9 +30,9 @@ func SessionFor(p OpenParams) (*online.Session, string, error) {
 	bs, budgeted := st.(online.BudgetSetter)
 	switch {
 	case p.Budget > 0 && !budgeted:
-		return nil, "", fmt.Errorf("journal: strategy %s does not support a budget", alg.Name)
+		return nil, "", fmt.Errorf("journal: strategy %s does not support a budget (use online-budget)", alg.Name)
 	case p.Budget == 0 && budgeted:
-		return nil, "", fmt.Errorf("journal: strategy %s needs a positive budget", alg.Name)
+		return nil, "", fmt.Errorf("journal: strategy %s needs a positive budget (it admits everything without one)", alg.Name)
 	case budgeted:
 		bs.SetBudget(p.Budget)
 	}

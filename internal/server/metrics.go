@@ -118,9 +118,9 @@ func formatBound(b float64) string {
 
 // histogramVec is a family of fixed-bucket histograms keyed by a
 // rendered exposition label list (`algorithm="x"`, or
-// `algorithm="x",phase="y"`), grown lazily on first observation so
-// plugin-registered algorithms are covered without a rebuild — the same
-// pattern the per-strategy stream stage histograms use.
+// `algorithm="x",phase="y"`), grown lazily on first use so
+// plugin-registered algorithms and strategies are covered without a
+// rebuild.
 type histogramVec struct {
 	bounds []float64
 	scale  float64
@@ -176,8 +176,8 @@ func (v *histogramVec) writeTo(w io.Writer, name string) {
 // metrics is the daemon's plain-text counter set: request counts per
 // endpoint, admission rejections, per-request error count, the in-flight
 // and open-stream gauges, and latency/batch-size histograms. All fields
-// are atomics (plus one mutex around the lazily-grown per-strategy map);
-// the /metrics handler renders a consistent snapshot per histogram.
+// are atomics or histogram families that grow under their own lock; the
+// /metrics handler renders a consistent snapshot per histogram.
 type metrics struct {
 	requestsSolve      atomic.Int64
 	requestsBatch      atomic.Int64
@@ -203,15 +203,10 @@ type metrics struct {
 	solveLatency       *histogramVec // per algorithm ("error" for failed solves)
 	batchLatency       *histogramVec // per pinned batch algorithm ("auto" unpinned)
 	phaseLatency       *histogramVec // per algorithm and solve phase, from the span tree
+	stageLatency       *histogramVec // per online strategy and stream stage
 	batchSize          *histogram
 	flushSize          *histogram // arrivals per stream flush
 	transitionCost     *histogram // reassigned jobs per repair
-
-	// stageLatency holds the queue/flush/solve histograms per online
-	// strategy, keyed by canonical name and grown lazily on first use so
-	// plugin-registered strategies are covered without a rebuild.
-	stageMu      sync.RWMutex
-	stageLatency map[string]*[len(streamStages)]*histogram
 }
 
 func newMetrics() *metrics {
@@ -219,10 +214,10 @@ func newMetrics() *metrics {
 		solveLatency:   newHistogramVec(latencyBounds, 1e9),
 		batchLatency:   newHistogramVec(latencyBounds, 1e9),
 		phaseLatency:   newHistogramVec(phaseBounds, 1e9),
+		stageLatency:   newHistogramVec(stageLatencyBounds, 1e9),
 		batchSize:      newHistogram(batchSizeBounds, 1),
 		flushSize:      newHistogram(flushSizeBounds, 1),
 		transitionCost: newHistogram(transitionBounds, 1),
-		stageLatency:   map[string]*[len(streamStages)]*histogram{},
 	}
 }
 
@@ -255,23 +250,23 @@ func (m *metrics) observePhases(algorithm string, node *trace.Node) {
 	}
 }
 
-// observeStreamStages records one arrival's per-stage serving timings
-// (nanoseconds, streamStages order) under its strategy's histograms.
-func (m *metrics) observeStreamStages(strategy string, stageNS [len(streamStages)]int64) {
-	m.stageMu.RLock()
-	hs := m.stageLatency[strategy]
-	m.stageMu.RUnlock()
-	if hs == nil {
-		m.stageMu.Lock()
-		if hs = m.stageLatency[strategy]; hs == nil {
-			hs = new([len(streamStages)]*histogram)
-			for i := range hs {
-				hs[i] = newHistogram(stageLatencyBounds, 1e9)
-			}
-			m.stageLatency[strategy] = hs
-		}
-		m.stageMu.Unlock()
+// stageHistograms is one online strategy's per-stage histograms, in
+// streamStages order.
+type stageHistograms [len(streamStages)]*histogram
+
+// stages resolves a strategy's stage histograms. A stream session
+// resolves them once when it opens, so its arrivals take no lock.
+func (m *metrics) stages(strategy string) *stageHistograms {
+	hs := new(stageHistograms)
+	for i, stage := range streamStages {
+		hs[i] = m.stageLatency.get(fmt.Sprintf("strategy=%q,stage=%q", strategy, stage))
 	}
+	return hs
+}
+
+// observe records one arrival's per-stage serving timings
+// (nanoseconds, streamStages order).
+func (hs *stageHistograms) observe(stageNS [len(streamStages)]int64) {
 	for i, ns := range stageNS {
 		hs[i].observe(float64(ns)/1e9, ns)
 	}
@@ -361,33 +356,9 @@ func (m *metrics) writeTo(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE busyd_reopt_transition_jobs histogram\n")
 	m.transitionCost.writeTo(w, "busyd_reopt_transition_jobs", "")
 
-	// Snapshot the per-strategy histogram pointers before rendering:
-	// writing to w can block on a slow scraper, and holding stageMu
-	// through that would let a queued writer in observeStreamStages stall
-	// every stream session's per-arrival hot path behind the scrape. The
-	// histograms themselves are atomic and never removed, so rendering
-	// outside the lock is safe.
-	type namedStages struct {
-		name string
-		hs   *[len(streamStages)]*histogram
-	}
-	m.stageMu.RLock()
-	staged := make([]namedStages, 0, len(m.stageLatency))
-	for name, hs := range m.stageLatency {
-		staged = append(staged, namedStages{name, hs})
-	}
-	m.stageMu.RUnlock()
-	sort.Slice(staged, func(i, j int) bool { return staged[i].name < staged[j].name })
-	if len(staged) > 0 {
-		fmt.Fprintf(w, "# HELP busyd_stream_stage_latency_seconds Per-arrival serving stages (queue wait, flush, solve), by strategy.\n")
-		fmt.Fprintf(w, "# TYPE busyd_stream_stage_latency_seconds histogram\n")
-		for _, s := range staged {
-			for i, stage := range streamStages {
-				s.hs[i].writeTo(w, "busyd_stream_stage_latency_seconds",
-					fmt.Sprintf("strategy=%q,stage=%q", s.name, stage))
-			}
-		}
-	}
+	fmt.Fprintf(w, "# HELP busyd_stream_stage_latency_seconds Per-arrival serving stages (queue wait, flush, solve), by strategy.\n")
+	fmt.Fprintf(w, "# TYPE busyd_stream_stage_latency_seconds histogram\n")
+	m.stageLatency.writeTo(w, "busyd_stream_stage_latency_seconds")
 
 	// Go runtime gauges, snapshotted per render so operators can
 	// correlate solve latency with scheduler load and GC pressure.

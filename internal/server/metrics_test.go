@@ -121,10 +121,11 @@ func TestMetricsHistogramExposition(t *testing.T) {
 		{Name: "placement", DurationNS: 3e6},
 		{Name: "bound", DurationNS: 5e5},
 	}})
+	bestfit, budget := m.stages("online-bestfit"), m.stages("online-budget")
 	for i := 0; i < 5; i++ {
 		us := int64(i+1) * int64(time.Microsecond)
-		m.observeStreamStages("online-bestfit", [len(streamStages)]int64{us, 2 * us, us / 2})
-		m.observeStreamStages("online-budget", [len(streamStages)]int64{int64(time.Second), 0, int64(time.Millisecond)})
+		bestfit.observe([len(streamStages)]int64{us, 2 * us, us / 2})
+		budget.observe([len(streamStages)]int64{int64(time.Second), 0, int64(time.Millisecond)})
 	}
 
 	var buf bytes.Buffer

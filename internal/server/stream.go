@@ -134,6 +134,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	s.metrics.streamsOpen.Add(1)
 	defer s.metrics.streamsOpen.Add(-1)
+	stages := s.metrics.stages(alg)
 	sessionStart := time.Now()
 	outcome := "ok"
 	if resumed {
@@ -276,7 +277,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			for k, ns := range stage {
 				totals[k] = safemath.SatAdd(totals[k], ns)
 			}
-			s.metrics.observeStreamStages(alg, stage)
+			stages.observe(stage)
 			if ev.Type == StreamEventReject {
 				s.metrics.streamRejected.Add(1)
 			} else {
@@ -384,11 +385,12 @@ func (s *Server) readArrivals(ctx context.Context, dec *json.Decoder, arrivals i
 }
 
 // openStreamSession validates the stream header and opens a fresh
-// journaled session: capacity, resolved strategy (strongest registered
-// when unnamed), the budget handed to admission-control strategies, and
-// the open record persisted before the first arrival is read. On
-// success the session id is claimed; the returned status is the HTTP
-// code to use on error.
+// journaled session: the wire bounds on capacity, budget and session
+// id; the strategy (the strongest registered when unnamed) and its
+// budget rule through journal.SessionFor, the code that rebuilds the
+// session on replay; and the open record persisted before the first
+// arrival is read. On success the session id is claimed; the returned
+// status is the HTTP code to use on error.
 func (s *Server) openStreamSession(open StreamOpen) (*online.Session, *journal.Writer, string, int, error) {
 	if open.G < 1 {
 		return nil, nil, "", http.StatusBadRequest, fmt.Errorf("server: stream capacity g = %d, need g >= 1", open.G)
@@ -396,32 +398,22 @@ func (s *Server) openStreamSession(open StreamOpen) (*online.Session, *journal.W
 	if open.Budget < 0 || open.Budget > maxWireCoord {
 		return nil, nil, "", http.StatusBadRequest, fmt.Errorf("server: stream budget %d outside [0, 2^40]", open.Budget)
 	}
-	var alg registry.Algorithm
-	var err error
-	if open.Strategy == "" {
-		alg, err = registry.For(registry.Online, igraph.General)
-	} else {
-		alg, err = registry.LookupKind(registry.Online, open.Strategy)
+	params := journal.OpenParams{G: open.G, Strategy: open.Strategy, Budget: open.Budget}
+	if params.Strategy == "" {
+		alg, err := registry.For(registry.Online, igraph.General)
+		if err != nil {
+			return nil, nil, "", http.StatusBadRequest, err
+		}
+		params.Strategy = alg.Name
 	}
+	sess, name, err := journal.SessionFor(params)
 	if err != nil {
 		return nil, nil, "", http.StatusBadRequest, err
 	}
-	st := alg.NewStrategy()
-	bs, budgeted := st.(online.BudgetSetter)
-	switch {
-	case open.Budget > 0 && !budgeted:
-		return nil, nil, "", http.StatusBadRequest, fmt.Errorf("server: strategy %s does not support a budget (use %s)", alg.Name, "online-budget")
-	case open.Budget == 0 && budgeted:
-		// Without a budget the admission-control strategy silently
-		// degenerates to plain BestFit; refuse, like the CLI does.
-		return nil, nil, "", http.StatusBadRequest, fmt.Errorf("server: strategy %s needs a positive budget (it admits everything without one)", alg.Name)
-	case budgeted:
-		bs.SetBudget(open.Budget)
-	}
-	sess, err := online.NewSession(open.G, st)
-	if err != nil {
-		return nil, nil, "", http.StatusBadRequest, err
-	}
+	// The journal records the canonical strategy name, never an alias:
+	// the open record seeds the hash chain, and a certificate must not
+	// depend on which spelling the client used.
+	params.Strategy = name
 	session := open.Session
 	if session == "" {
 		session = newSessionID()
@@ -433,10 +425,7 @@ func (s *Server) openStreamSession(open StreamOpen) (*online.Session, *journal.W
 	if !s.claimSession(session) {
 		return nil, nil, "", http.StatusConflict, fmt.Errorf("server: session %s is already being served", session)
 	}
-	// The journal records the canonical strategy name, never an alias:
-	// the open record seeds the hash chain, and a certificate must not
-	// depend on which spelling the client used.
-	jw, err := journal.NewWriter(s.cfg.Journal, session, journal.OpenParams{G: open.G, Strategy: alg.Name, Budget: open.Budget})
+	jw, err := journal.NewWriter(s.cfg.Journal, session, params)
 	if err != nil {
 		s.releaseSession(session)
 		if errors.Is(err, journal.ErrSessionExists) {
@@ -444,7 +433,7 @@ func (s *Server) openStreamSession(open StreamOpen) (*online.Session, *journal.W
 		}
 		return nil, nil, "", http.StatusInternalServerError, err
 	}
-	return sess, jw, alg.Name, 0, nil
+	return sess, jw, name, 0, nil
 }
 
 // resumeStreamSession rebuilds a disconnected session from its journal,

@@ -180,16 +180,19 @@ func TestStreamHeaderErrors(t *testing.T) {
 		method string
 		body   string
 		status int
+		errSub string // substring of the error text, when pinned
 	}{
-		{"get method", http.MethodGet, "", http.StatusMethodNotAllowed},
-		{"empty body", http.MethodPost, "", http.StatusBadRequest},
-		{"malformed header", http.MethodPost, "{", http.StatusBadRequest},
-		{"zero capacity", http.MethodPost, `{"g":0}`, http.StatusBadRequest},
-		{"negative budget", http.MethodPost, `{"g":2,"budget":-5}`, http.StatusBadRequest},
-		{"budget above the sane cap", http.MethodPost, `{"g":2,"budget":4611686018427387904}`, http.StatusBadRequest},
-		{"unknown strategy", http.MethodPost, `{"g":2,"strategy":"nope"}`, http.StatusBadRequest},
-		{"budget on non-budgeted strategy", http.MethodPost, `{"g":2,"strategy":"online-firstfit","budget":10}`, http.StatusBadRequest},
-		{"budget strategy without budget", http.MethodPost, `{"g":2,"strategy":"online-budget"}`, http.StatusBadRequest},
+		{"get method", http.MethodGet, "", http.StatusMethodNotAllowed, ""},
+		{"empty body", http.MethodPost, "", http.StatusBadRequest, ""},
+		{"malformed header", http.MethodPost, "{", http.StatusBadRequest, ""},
+		{"zero capacity", http.MethodPost, `{"g":0}`, http.StatusBadRequest, ""},
+		{"negative budget", http.MethodPost, `{"g":2,"budget":-5}`, http.StatusBadRequest, ""},
+		{"budget above the sane cap", http.MethodPost, `{"g":2,"budget":4611686018427387904}`, http.StatusBadRequest, ""},
+		{"unknown strategy", http.MethodPost, `{"g":2,"strategy":"nope"}`, http.StatusBadRequest, ""},
+		{"budget on non-budgeted strategy", http.MethodPost, `{"g":2,"strategy":"online-firstfit","budget":10}`, http.StatusBadRequest,
+			"does not support a budget (use online-budget)"},
+		{"budget strategy without budget", http.MethodPost, `{"g":2,"strategy":"online-budget"}`, http.StatusBadRequest,
+			"needs a positive budget (it admits everything without one)"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -201,9 +204,13 @@ func TestStreamHeaderErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != c.status {
 				t.Errorf("status %d, want %d", resp.StatusCode, c.status)
+			}
+			if !strings.Contains(string(body), c.errSub) {
+				t.Errorf("error %s, want it to contain %q", body, c.errSub)
 			}
 		})
 	}

@@ -454,10 +454,10 @@ func (s *Solver) solveOne(ctx context.Context, req Request) (Result, error) {
 				sp.SetAttr("cache", res.CacheOutcome)
 			}
 		}
-		sp.End()
-		if err == nil {
-			res.Trace = sp.Snapshot()
-		}
+	}
+	sp.End()
+	if err == nil {
+		res.Trace = sp.Snapshot()
 	}
 	return res, err
 }
