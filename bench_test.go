@@ -28,7 +28,7 @@ func BenchmarkE1CliqueMatching(b *testing.B) {
 	in := workload.Clique(1, workload.Config{N: 100, G: 2, MaxTime: 1000, MaxLen: 300})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CliqueMatching(in); err != nil {
+		if _, err := core.CliqueMatching(context.Background(), in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,7 +39,7 @@ func BenchmarkE2CliqueSetCover(b *testing.B) {
 	in := workload.Clique(1, workload.Config{N: 30, G: 3, MaxTime: 1000, MaxLen: 300})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CliqueSetCover(in); err != nil {
+		if _, err := core.CliqueSetCover(context.Background(), in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -276,7 +276,7 @@ func BenchmarkScaleMatching(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CliqueMatching(in); err != nil {
+				if _, err := core.CliqueMatching(context.Background(), in); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -295,7 +295,9 @@ func BenchmarkScaleBlossomRaw(b *testing.B) {
 		b.Run(fmt.Sprintf("K%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				matching.Max(n, edges)
+				if _, err := matching.Max(context.Background(), n, edges); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -172,7 +172,7 @@ func CompareOnline(in Instance, strategies ...OnlineStrategy) ([]OnlineReport, e
 	var exactCost int64
 	hasExact := false
 	if len(in.Jobs) <= exact.MaxN {
-		s, err := exact.MinBusyCtx(ctx, in)
+		s, err := exact.MinBusy(ctx, in)
 		if err != nil {
 			return nil, err
 		}

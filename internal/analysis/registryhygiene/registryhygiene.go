@@ -10,10 +10,9 @@
 //     packages the registry imports (a package function returning
 //     core.Schedule / core.RectSchedule, optionally with an error, or a
 //     value implementing online.Strategy) must be referenced somewhere
-//     in the registry package — either directly, or via its FooCtx
-//     variant (the repo's convention for the cancellable form) — or
-//     carry an entry with a reason in registry.UnregisteredOK. Stale
-//     and reasonless waivers are themselves findings.
+//     in the registry package or carry an entry with a reason in
+//     registry.UnregisteredOK. Stale and reasonless waivers are
+//     themselves findings.
 //
 //  2. Every registry.Algorithm literal must declare a non-empty Classes
 //     list and a non-empty Guarantee string, so a registration can
@@ -82,8 +81,7 @@ func run(pass *analysis.Pass) error {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		registered := refs[key] || refs[key+"Ctx"]
-		if registered {
+		if refs[key] {
 			if w, ok := waivers.entries[key]; ok {
 				pass.Reportf(w.pos, "stale waiver: %s is registered (referenced from the registry package); delete the entry", key)
 			}

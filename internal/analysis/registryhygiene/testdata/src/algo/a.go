@@ -16,12 +16,6 @@ func (greedy) Place(start, end int64) int { return 0 }
 // Good is registered directly by the reg fixture.
 func Good(n int) Schedule { return Schedule{} }
 
-// Variant is registered through its Ctx-suffixed form, the repo's
-// convention for the cancellable variant.
-func Variant(n int) Schedule { return Schedule{} }
-
-func VariantCtx(n int) Schedule { return Schedule{} }
-
 // Bad is neither registered nor waived: flagged at reg's import.
 func Bad(n int) (Schedule, error) { return Schedule{}, nil }
 

@@ -23,12 +23,8 @@ var UnregisteredOK = map[string]string{
 	"algo.Reasonless": "",                   // want `waiver for algo.Reasonless has no reason`
 }
 
-// References that mark Good (directly) and Variant (via VariantCtx) as
-// registered.
-var (
-	_ = algo.Good
-	_ = algo.VariantCtx
-)
+// The reference that marks Good as registered.
+var _ = algo.Good
 
 // A complete registration passes.
 var _ = Algorithm{

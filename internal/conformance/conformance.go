@@ -403,7 +403,7 @@ func checkMinBusyLike(ctx context.Context, alg registry.Algorithm, in job.Instan
 
 	// (c) guarantee against the exact oracle on oracle-sized instances.
 	if alg.Ratio != nil && len(in.Jobs) > 0 && len(in.Jobs) <= exact.MaxN {
-		opt, oerr := exact.MinBusyCtx(ctx, in)
+		opt, oerr := exact.MinBusy(ctx, in)
 		if oerr != nil {
 			return oerr
 		}
@@ -592,9 +592,9 @@ func checkThroughputBudget(ctx context.Context, alg registry.Algorithm, in job.I
 // throughputOracle picks the oracle matching the algorithm's objective.
 func throughputOracle(ctx context.Context, alg registry.Algorithm, in job.Instance, budget int64) (busytime.Schedule, error) {
 	if alg.Weighted {
-		return exact.MaxWeightThroughputCtx(ctx, in, budget)
+		return exact.MaxWeightThroughput(ctx, in, budget)
 	}
-	return exact.MaxThroughputCtx(ctx, in, budget)
+	return exact.MaxThroughput(ctx, in, budget)
 }
 
 // CheckRectInstance is the 2-D counterpart of CheckInstance: certificate,
@@ -628,7 +628,7 @@ func CheckRectInstance(ctx context.Context, alg registry.Algorithm, in job.RectI
 	// instances: no algorithm may beat the optimum, exact algorithms must
 	// match it, and a registered Ratio(g) bounds the gap.
 	if len(in.Jobs) > 0 && len(in.Jobs) <= exact.MaxRectN {
-		opt, oerr := exact.MinBusyRectCtx(ctx, in)
+		opt, oerr := exact.MinBusyRect(ctx, in)
 		if oerr != nil {
 			return oerr
 		}

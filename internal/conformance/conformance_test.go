@@ -146,7 +146,7 @@ func TestKnownSetCoverCounterexample(t *testing.T) {
 		job.New(0, 127, 131),
 		job.New(1, 120, 130),
 	}}
-	s, err := core.CliqueSetCover(in)
+	s, err := core.CliqueSetCover(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}

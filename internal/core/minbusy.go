@@ -43,14 +43,10 @@ func OneSidedGreedy(in job.Instance) (Schedule, error) {
 // (Lemma 3.1): a valid schedule pairs up jobs (at most two per machine, as
 // all jobs overlap), the saving of a pair is its overlap length, so a
 // maximum-weight matching on the overlap graph minimizes total cost.
-func CliqueMatching(in job.Instance) (Schedule, error) {
-	return CliqueMatchingCtx(context.Background(), in)
-}
-
-// CliqueMatchingCtx is CliqueMatching with cooperative cancellation: both
-// the O(n²) overlap-graph construction and the O(n³) blossom search check
-// ctx and return ctx.Err() once it fires.
-func CliqueMatchingCtx(ctx context.Context, in job.Instance) (Schedule, error) {
+//
+// Both the O(n²) overlap-graph construction and the O(n³) blossom search
+// check ctx and return ctx.Err() once it fires.
+func CliqueMatching(ctx context.Context, in job.Instance) (Schedule, error) {
 	if in.G != 2 {
 		return Schedule{}, fmt.Errorf("core: CliqueMatching requires g = 2, got g = %d", in.G)
 	}
@@ -69,7 +65,7 @@ func CliqueMatchingCtx(ctx context.Context, in job.Instance) (Schedule, error) {
 			}
 		}
 	}
-	mate, err := matching.MaxCtx(ctx, n, edges)
+	mate, err := matching.Max(ctx, n, edges)
 	if err != nil {
 		return Schedule{}, err
 	}
@@ -111,15 +107,11 @@ const MaxCliqueSetCoverSubsets = 5_000_000
 // The paper combines inequalities (1) and (3) through a convex mix to get
 // the g·H_g/(H_g+g−1) ratio; taking the minimum of the three schedules
 // inherits that combination (min(a,b) ≤ ρa + (1−ρ)b).
-func CliqueSetCover(in job.Instance) (Schedule, error) {
-	return CliqueSetCoverCtx(context.Background(), in)
-}
-
-// CliqueSetCoverCtx is CliqueSetCover with cooperative cancellation: the
-// subset enumeration and both greedy cover loops check ctx and return
+//
+// The subset enumeration and both greedy cover loops check ctx and return
 // ctx.Err() once it fires, so a Solver deadline can abandon a
 // multi-million-subset run mid-enumeration.
-func CliqueSetCoverCtx(ctx context.Context, in job.Instance) (Schedule, error) {
+func CliqueSetCover(ctx context.Context, in job.Instance) (Schedule, error) {
 	if !igraph.IsClique(in.Jobs) {
 		return Schedule{}, fmt.Errorf("core: CliqueSetCover requires a clique instance")
 	}
@@ -159,12 +151,12 @@ func CliqueSetCoverCtx(ctx context.Context, in job.Instance) (Schedule, error) {
 // with ctx.Err() once the context fires.
 func cliqueSubsetSets(ctx context.Context, in job.Instance) (modified, plain []setcover.Set, err error) {
 	g := int64(in.G)
-	err = setcover.EnumerateSubsetsCtx(ctx, len(in.Jobs), in.G, func(subset []int) {
+	err = setcover.EnumerateSubsets(ctx, len(in.Jobs), in.G, func(subset []int) {
 		var length int64
 		// All jobs share a common time, so the union of any subset is a
 		// single interval [min start, max end).
 		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-		//lint:ignore busylint/ctxloop subset holds at most g elements; EnumerateSubsetsCtx observes ctx between subsets
+		//lint:ignore busylint/ctxloop subset holds at most g elements; EnumerateSubsets observes ctx between subsets
 		for _, p := range subset {
 			iv := in.Jobs[p].Interval
 			length += iv.Len()
@@ -188,11 +180,8 @@ func cliqueSubsetSets(ctx context.Context, in job.Instance) (modified, plain []s
 
 // CliqueSetCoverModified is the modified-weight variant alone (greedy
 // partition over weights g·span(Q)−len(Q)) — exposed for the E14 ablation.
-func CliqueSetCoverModified(in job.Instance) (Schedule, error) {
-	return cliqueSetCoverModifiedCtx(context.Background(), in)
-}
-
-func cliqueSetCoverModifiedCtx(ctx context.Context, in job.Instance) (Schedule, error) {
+// It observes ctx as CliqueSetCover does.
+func CliqueSetCoverModified(ctx context.Context, in job.Instance) (Schedule, error) {
 	if !igraph.IsClique(in.Jobs) {
 		return Schedule{}, fmt.Errorf("core: CliqueSetCoverModified requires a clique instance")
 	}
@@ -210,7 +199,7 @@ func cliqueSetCoverModifiedCtx(ctx context.Context, in job.Instance) (Schedule, 
 // modified-weight sets.
 func coverFromModified(ctx context.Context, in job.Instance, modified []setcover.Set) (Schedule, error) {
 	n := len(in.Jobs)
-	chosen, err := setcover.GreedyPartitionCtx(ctx, n, modified)
+	chosen, err := setcover.GreedyPartition(ctx, n, modified)
 	if err != nil {
 		if ctx.Err() != nil {
 			return Schedule{}, ctx.Err()
@@ -221,12 +210,9 @@ func coverFromModified(ctx context.Context, in job.Instance, modified []setcover
 }
 
 // CliqueSetCoverPlain is the plain-span variant alone (classical greedy
-// cover, H_g guarantee) — exposed for the E14 ablation.
-func CliqueSetCoverPlain(in job.Instance) (Schedule, error) {
-	return cliqueSetCoverPlainCtx(context.Background(), in)
-}
-
-func cliqueSetCoverPlainCtx(ctx context.Context, in job.Instance) (Schedule, error) {
+// cover, H_g guarantee) — exposed for the E14 ablation. It observes ctx
+// as CliqueSetCover does.
+func CliqueSetCoverPlain(ctx context.Context, in job.Instance) (Schedule, error) {
 	if !igraph.IsClique(in.Jobs) {
 		return Schedule{}, fmt.Errorf("core: CliqueSetCoverPlain requires a clique instance")
 	}
@@ -244,7 +230,7 @@ func cliqueSetCoverPlainCtx(ctx context.Context, in job.Instance) (Schedule, err
 // span-weight sets.
 func coverFromPlain(ctx context.Context, in job.Instance, plain []setcover.Set) (Schedule, error) {
 	n := len(in.Jobs)
-	chosen, err := setcover.GreedyCtx(ctx, n, plain)
+	chosen, err := setcover.Greedy(ctx, n, plain)
 	if err != nil {
 		if ctx.Err() != nil {
 			return Schedule{}, ctx.Err()

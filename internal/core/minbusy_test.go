@@ -106,7 +106,7 @@ func TestOneSidedGreedyRejectsGeneral(t *testing.T) {
 func TestCliqueMatchingOptimal(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		in := workload.Clique(seed, workload.Config{N: 10, G: 2, MaxTime: 100, MaxLen: 40})
-		s, err := CliqueMatching(in)
+		s, err := CliqueMatching(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,10 +118,10 @@ func TestCliqueMatchingOptimal(t *testing.T) {
 }
 
 func TestCliqueMatchingRejects(t *testing.T) {
-	if _, err := CliqueMatching(job.NewInstance(3, [2]int64{0, 5}, [2]int64{1, 6})); err == nil {
+	if _, err := CliqueMatching(context.Background(), job.NewInstance(3, [2]int64{0, 5}, [2]int64{1, 6})); err == nil {
 		t.Fatal("accepted g != 2")
 	}
-	if _, err := CliqueMatching(job.NewInstance(2, [2]int64{0, 5}, [2]int64{10, 15})); err == nil {
+	if _, err := CliqueMatching(context.Background(), job.NewInstance(2, [2]int64{0, 5}, [2]int64{10, 15})); err == nil {
 		t.Fatal("accepted non-clique")
 	}
 }
@@ -133,7 +133,7 @@ func TestCliqueSetCoverWithinBound(t *testing.T) {
 		bound := float64(g) * hg / (hg + float64(g) - 1)
 		for seed := int64(0); seed < 15; seed++ {
 			in := workload.Clique(seed, workload.Config{N: 9, G: g, MaxTime: 100, MaxLen: 40})
-			s, err := CliqueSetCover(in)
+			s, err := CliqueSetCover(context.Background(), in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestCliqueSetCoverExactForG2(t *testing.T) {
 	// matching to confirm both stay within the bound of each other.
 	for seed := int64(50); seed < 60; seed++ {
 		in := workload.Clique(seed, workload.Config{N: 8, G: 2, MaxTime: 80, MaxLen: 30})
-		sc, err := CliqueSetCover(in)
+		sc, err := CliqueSetCover(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestCliqueSetCoverExactForG2(t *testing.T) {
 }
 
 func TestCliqueSetCoverRejects(t *testing.T) {
-	if _, err := CliqueSetCover(job.NewInstance(2, [2]int64{0, 5}, [2]int64{10, 15})); err == nil {
+	if _, err := CliqueSetCover(context.Background(), job.NewInstance(2, [2]int64{0, 5}, [2]int64{10, 15})); err == nil {
 		t.Fatal("accepted non-clique")
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/job"
@@ -76,37 +75,16 @@ func FirstFit2D(in job.RectInstance) RectSchedule {
 		return in.Jobs[order[a]].Rect.Len2() > in.Jobs[order[b]].Rect.Len2()
 	})
 
-	// threads[m][t] = rect jobs on thread t of machine m.
-	var machines [][][]int
-	fits := func(thread []int, p int) bool {
-		for _, q := range thread {
-			if in.Jobs[q].Rect.Overlaps(in.Jobs[p].Rect) {
-				return false
-			}
-		}
-		return true
-	}
-
+	packer := ThreadPacker{G: in.G}
 	for _, p := range order {
-		placed := false
-		for m := 0; m < len(machines) && !placed; m++ {
-			for t := 0; t < len(machines[m]) && !placed; t++ {
-				if fits(machines[m][t], p) {
-					machines[m][t] = append(machines[m][t], p)
-					s.Machine[p] = m
-					placed = true
+		s.Machine[p], _ = packer.Place(p, func(thread []int) bool {
+			for _, q := range thread {
+				if in.Jobs[q].Rect.Overlaps(in.Jobs[p].Rect) {
+					return false
 				}
 			}
-			if !placed && len(machines[m]) < in.G {
-				machines[m] = append(machines[m], []int{p})
-				s.Machine[p] = m
-				placed = true
-			}
-		}
-		if !placed {
-			machines = append(machines, [][]int{{p}})
-			s.Machine[p] = len(machines) - 1
-		}
+			return true
+		})
 	}
 	return s
 }
@@ -118,69 +96,26 @@ const DefaultBucketBase = 3.3
 // BucketFirstFit implements Algorithm 4: partition jobs into buckets with
 // len₁ ratio at most β, run FirstFit2D per bucket on fresh machines, and
 // concatenate. With β = DefaultBucketBase this is the Theorem 3.3
-// approximation algorithm. beta must be > 1.
+// approximation algorithm. beta must be > 1 and every len₁ positive.
 //
 // The paper assumes γ₁ ≤ γ₂ w.l.o.g.; callers can transpose instances with
 // TransposeRects to enforce it (BucketFirstFitAuto does so automatically).
 func BucketFirstFit(in job.RectInstance, beta float64) (RectSchedule, error) {
-	if beta <= 1 {
-		return RectSchedule{}, fmt.Errorf("core: BucketFirstFit needs beta > 1, got %v", beta)
-	}
-	n := len(in.Jobs)
-	s := RectSchedule{Instance: in, Machine: make([]int, n)}
-	if n == 0 {
-		return s, nil
-	}
-	minLen := int64(math.MaxInt64)
-	for _, j := range in.Jobs {
-		if l := j.Rect.Len1(); l < minLen {
-			minLen = l
-		}
-	}
-	if minLen <= 0 {
-		return RectSchedule{}, fmt.Errorf("core: BucketFirstFit requires non-degenerate rectangles")
-	}
-
-	// Bucket b holds jobs with len1 in [minLen·β^(b-1), minLen·β^b].
-	buckets := map[int][]int{}
+	lengths := make([]int64, len(in.Jobs))
 	for i, j := range in.Jobs {
-		ratio := float64(j.Rect.Len1()) / float64(minLen)
-		b := 0
-		if ratio > 1 {
-			b = int(math.Ceil(math.Log(ratio) / math.Log(beta)))
-			// Boundary values belong to the lower bucket per the paper's
-			// closed-interval bucket definition.
-			if math.Pow(beta, float64(b-1)) >= ratio-1e-12 && b > 0 {
-				b--
-			}
-		}
-		buckets[b] = append(buckets[b], i)
+		lengths[i] = j.Rect.Len1()
 	}
-
-	keys := make([]int, 0, len(buckets))
-	for b := range buckets {
-		keys = append(keys, b)
-	}
-	sort.Ints(keys)
-
-	machineBase := 0
-	for _, b := range keys {
-		sub := job.RectInstance{G: in.G}
-		for _, p := range buckets[b] {
-			sub.Jobs = append(sub.Jobs, in.Jobs[p])
+	machine, err := BucketPack(lengths, beta, func(members []int) []int {
+		sub := job.RectInstance{G: in.G, Jobs: make([]job.RectJob, len(members))}
+		for k, p := range members {
+			sub.Jobs[k] = in.Jobs[p]
 		}
-		subSched := FirstFit2D(sub)
-		maxM := 0
-		for k, p := range buckets[b] {
-			m := subSched.Machine[k]
-			s.Machine[p] = machineBase + m
-			if m > maxM {
-				maxM = m
-			}
-		}
-		machineBase += maxM + 1
+		return FirstFit2D(sub).Machine
+	})
+	if err != nil {
+		return RectSchedule{}, fmt.Errorf("core: BucketFirstFit %w", err)
 	}
-	return s, nil
+	return RectSchedule{Instance: in, Machine: machine}, nil
 }
 
 // TransposeRects swaps the two dimensions of every job — used to enforce

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/igraph"
-	"repro/internal/interval"
 	"repro/internal/job"
 )
 
@@ -559,64 +558,35 @@ func GreedyThroughput(in job.Instance, budget int64) Schedule {
 	order := byLenDescOrder(in.Jobs)
 	reverseInts(order) // shortest first
 
-	var machines [][][]int // machines[m][t] = job positions on thread t
-	// machineSpan tracks each machine's busy intervals to recompute cost
-	// incrementally.
+	packer := ThreadPacker{G: in.G}
+	loads := NewLoads(s)
 	var cost int64
-	machineIvs := map[int][]interval.Interval{}
-
-	fits := func(th []int, p int) bool {
-		for _, q := range th {
-			if in.Jobs[q].Overlaps(in.Jobs[p]) {
-				return false
-			}
-		}
-		return true
-	}
-	place := func(p int) int {
-		for m := 0; m < len(machines); m++ {
-			for t := 0; t < len(machines[m]); t++ {
-				if fits(machines[m][t], p) {
-					machines[m][t] = append(machines[m][t], p)
-					return m
+	for _, p := range order {
+		// Place tentatively, and take the placement back if its busy
+		// time would overrun the budget.
+		m, t := packer.Place(p, func(thread []int) bool {
+			for _, q := range thread {
+				if in.Jobs[q].Overlaps(in.Jobs[p]) {
+					return false
 				}
 			}
-			if len(machines[m]) < in.G {
-				machines[m] = append(machines[m], []int{p})
-				return m
-			}
+			return true
+		})
+		// Place opened machine m. A machine Undo drops stays open, and
+		// empty, in loads until Place opens it again.
+		if m == loads.Machines() {
+			loads.Open()
 		}
-		machines = append(machines, [][]int{{p}})
-		return len(machines) - 1
-	}
-
-	for _, p := range order {
-		// Tentatively place and check the budget; undo on overflow.
-		savedMachines := cloneThreads(machines)
-		m := place(p)
-		newIvs := append(machineIvs[m], in.Jobs[p].Interval)
-		oldSpan := interval.Span(machineIvs[m])
-		newSpan := interval.Span(newIvs)
-		if cost-oldSpan+newSpan > budget {
-			machines = savedMachines
+		delta := loads.Marginal(m, p)
+		if cost+delta > budget {
+			packer.Undo(m, t)
 			continue
 		}
-		cost += newSpan - oldSpan
-		machineIvs[m] = newIvs
+		cost += delta
+		loads.Add(m, p)
 		s.Assign(p, m)
 	}
 	return s
-}
-
-func cloneThreads(machines [][][]int) [][][]int {
-	out := make([][][]int, len(machines))
-	for m := range machines {
-		out[m] = make([][]int, len(machines[m]))
-		for t := range machines[m] {
-			out[m][t] = append([]int(nil), machines[m][t]...)
-		}
-	}
-	return out
 }
 
 // MinBusyViaThroughput demonstrates Proposition 2.2: MinBusy reduces to

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	. "repro/internal/core"
@@ -11,7 +12,7 @@ import (
 
 func optThroughput(t *testing.T, in job.Instance, budget int64) int {
 	t.Helper()
-	s, err := exact.MaxThroughput(in, budget)
+	s, err := exact.MaxThroughput(context.Background(), in, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestMostWeightConsecutiveOptimal(t *testing.T) {
 			if s.Cost() > budget {
 				t.Fatalf("seed %d budget %d: cost %d over budget", seed, budget, s.Cost())
 			}
-			want, err := exact.MaxWeightThroughput(in, budget)
+			want, err := exact.MaxWeightThroughput(context.Background(), in, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +237,7 @@ func TestOneSidedWeightThroughputOptimal(t *testing.T) {
 				if s.Cost() > budget {
 					t.Fatalf("seed %d budget %d: cost %d over budget", seed, budget, s.Cost())
 				}
-				want, err := exact.MaxWeightThroughput(in, budget)
+				want, err := exact.MaxWeightThroughput(context.Background(), in, budget)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -296,7 +297,7 @@ func TestMinBusyViaThroughput(t *testing.T) {
 func TestMinBusyViaThroughputGeneralOracle(t *testing.T) {
 	in := workload.General(5, workload.Config{N: 8, G: 2, MaxTime: 50, MaxLen: 20})
 	solve := func(in job.Instance, budget int64) (Schedule, error) {
-		return exact.MaxThroughput(in, budget)
+		return exact.MaxThroughput(context.Background(), in, budget)
 	}
 	s, err := MinBusyViaThroughput(in, solve)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/interval"
 	"repro/internal/job"
 )
 
@@ -74,34 +73,17 @@ func FirstFitByDemand(in job.Instance) core.Schedule {
 // the given order.
 func firstFitInOrder(in job.Instance, order []int) core.Schedule {
 	s := core.NewSchedule(in)
-	var members [][]int // members[m] = job positions on machine m
-
-	fits := func(m int, p int) bool {
-		ivs := make([]interval.Interval, 0, len(members[m])+1)
-		demands := make([]int64, 0, len(members[m])+1)
-		for _, q := range members[m] {
-			ivs = append(ivs, in.Jobs[q].Interval)
-			demands = append(demands, in.Jobs[q].Demand)
-		}
-		ivs = append(ivs, in.Jobs[p].Interval)
-		demands = append(demands, in.Jobs[p].Demand)
-		return interval.WeightedMaxConcurrency(ivs, demands) <= int64(in.G)
-	}
-
+	loads := core.NewLoads(s)
 	for _, p := range order {
-		placed := false
-		for m := 0; m < len(members); m++ {
-			if fits(m, p) {
-				members[m] = append(members[m], p)
-				s.Assign(p, m)
-				placed = true
-				break
-			}
+		m := 0
+		for m < loads.Machines() && !loads.Fits(m, p) {
+			m++
 		}
-		if !placed {
-			members = append(members, []int{p})
-			s.Assign(p, len(members)-1)
+		if m == loads.Machines() {
+			loads.Open()
 		}
+		loads.Add(m, p)
+		s.Assign(p, m)
 	}
 	return s
 }

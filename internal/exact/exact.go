@@ -36,35 +36,109 @@ const ctxCheckInterval = 1 << 13
 // MinBusy computes an optimal MinBusy schedule by subset DP. It returns an
 // error (rather than panicking) for oversized instances so callers can fall
 // back to approximations.
-func MinBusy(in job.Instance) (core.Schedule, error) {
-	return MinBusyCtx(context.Background(), in)
-}
-
-// MinBusyCtx is MinBusy with cooperative cancellation: the subset DP
-// checks ctx at safe points and returns ctx.Err() once it fires, so long
-// oracle runs can be abandoned by a Solver deadline.
-func MinBusyCtx(ctx context.Context, in job.Instance) (core.Schedule, error) {
-	n := len(in.Jobs)
-	if n > MaxN {
-		return core.Schedule{}, fmt.Errorf("exact: %d jobs exceeds MaxN = %d", n, MaxN)
-	}
-	if err := in.Validate(); err != nil {
+//
+// The subset DP checks ctx at safe points and returns ctx.Err() once it
+// fires, so long oracle runs can be abandoned by a Solver deadline.
+func MinBusy(ctx context.Context, in job.Instance) (core.Schedule, error) {
+	if err := admit(in); err != nil {
 		return core.Schedule{}, err
 	}
-	if n == 0 {
-		return core.NewSchedule(in), nil
-	}
-
-	spanOf, validQ, err := subsetTables(ctx, in)
+	_, pick, err := subsetDP(ctx, in)
 	if err != nil {
 		return core.Schedule{}, err
 	}
-	size := 1 << n
-	cost := make([]int64, size)
-	pick := make([]int, size)
-	for mask := 1; mask < size; mask++ {
+	return scheduleOf(in, pick, len(pick)-1), nil
+}
+
+// MinBusyCost returns only the optimal cost (same DP as MinBusy).
+func MinBusyCost(in job.Instance) (int64, error) {
+	s, err := MinBusy(context.Background(), in)
+	if err != nil {
+		return 0, err
+	}
+	return s.Cost(), nil
+}
+
+// MaxThroughput computes an optimal partial schedule of at most budget
+// total busy time that maximizes the number of scheduled jobs, breaking
+// ties toward lower cost. It runs the MinBusy subset DP once, then scans
+// all subsets; both observe ctx as MinBusy does.
+func MaxThroughput(ctx context.Context, in job.Instance, budget int64) (core.Schedule, error) {
+	return maxThroughput(ctx, in, budget, func(mask int) int64 {
+		return int64(bits.OnesCount(uint(mask)))
+	})
+}
+
+// MaxWeightThroughput is MaxThroughput with job weights (Section 5
+// extension): it maximizes total scheduled weight within the budget. It
+// observes ctx as MinBusy does.
+func MaxWeightThroughput(ctx context.Context, in job.Instance, budget int64) (core.Schedule, error) {
+	return maxThroughput(ctx, in, budget, func(mask int) int64 {
+		var w int64
+		//lint:ignore busylint/ctxloop popcount walk over one ≤ MaxN = 18 bit mask; the caller's mask scan observes ctx
+		for m := mask; m != 0; m &= m - 1 {
+			w += in.Jobs[bits.TrailingZeros(uint(m))].Weight
+		}
+		return w
+	})
+}
+
+func maxThroughput(ctx context.Context, in job.Instance, budget int64, value func(mask int) int64) (core.Schedule, error) {
+	if err := admit(in); err != nil {
+		return core.Schedule{}, err
+	}
+	if budget < 0 {
+		return core.NewSchedule(in), nil
+	}
+	cost, pick, err := subsetDP(ctx, in)
+	if err != nil {
+		return core.Schedule{}, err
+	}
+
+	bestMask := 0
+	var bestVal int64
+	var bestCost int64
+	// The winner scan visits all 2^n masks and value() is O(n), so it
+	// needs the same strided cancellation point as the DP.
+	for mask := range cost {
 		if mask%ctxCheckInterval == 0 && ctx.Err() != nil {
 			return core.Schedule{}, ctx.Err()
+		}
+		if cost[mask] > budget {
+			continue
+		}
+		v := value(mask)
+		if v > bestVal || (v == bestVal && cost[mask] < bestCost) {
+			bestMask, bestVal, bestCost = mask, v, cost[mask]
+		}
+	}
+	return scheduleOf(in, pick, bestMask), nil
+}
+
+// admit rejects the instances the oracles refuse: more than MaxN jobs, or
+// an invalid instance.
+func admit(in job.Instance) error {
+	if n := len(in.Jobs); n > MaxN {
+		return fmt.Errorf("exact: %d jobs exceeds MaxN = %d", n, MaxN)
+	}
+	return in.Validate()
+}
+
+// subsetDP runs the recurrence of the package comment over every subset
+// mask: cost[mask] is the optimal busy time of the jobs in mask and
+// pick[mask] the machine (a subset of mask holding its lowest job) an
+// optimal schedule of mask gives that job.
+func subsetDP(ctx context.Context, in job.Instance) (cost []int64, pick []int, err error) {
+	spanOf, validQ, err := subsetTables(ctx, in)
+	if err != nil {
+		return nil, nil, err
+	}
+	size := len(spanOf)
+	cost = make([]int64, size)
+	pick = make([]int, size)
+	for mask := 1; mask < size; mask++ {
+		if mask%ctxCheckInterval == 0 && ctx.Err() != nil {
+			return nil, nil, ctx.Err()
 		}
 		cost[mask] = math.MaxInt64
 		low := mask & -mask
@@ -85,135 +159,22 @@ func MinBusyCtx(ctx context.Context, in job.Instance) (core.Schedule, error) {
 			}
 		}
 	}
+	return cost, pick, nil
+}
 
+// scheduleOf assigns the jobs of mask to machines by peeling pick's
+// machine subsets off it, one nonempty subset (so at most n ≤ MaxN
+// machines) per step; jobs outside mask stay unscheduled.
+func scheduleOf(in job.Instance, pick []int, mask int) core.Schedule {
 	s := core.NewSchedule(in)
-	machine := 0
-	//lint:ignore busylint/ctxloop reconstruction peels one nonempty machine subset per iteration, at most n ≤ MaxN = 18 steps
-	for mask := size - 1; mask != 0; {
+	for machine := 0; mask != 0; machine++ {
 		q := pick[mask]
 		for m := q; m != 0; m &= m - 1 {
 			s.Assign(bits.TrailingZeros(uint(m)), machine)
 		}
-		machine++
 		mask ^= q
 	}
-	return s, nil
-}
-
-// MinBusyCost returns only the optimal cost (same DP as MinBusy).
-func MinBusyCost(in job.Instance) (int64, error) {
-	s, err := MinBusy(in)
-	if err != nil {
-		return 0, err
-	}
-	return s.Cost(), nil
-}
-
-// MaxThroughput computes an optimal partial schedule of at most budget
-// total busy time that maximizes the number of scheduled jobs, breaking
-// ties toward lower cost. It runs the MinBusy subset DP once, then scans
-// all subsets.
-func MaxThroughput(in job.Instance, budget int64) (core.Schedule, error) {
-	return MaxThroughputCtx(context.Background(), in, budget)
-}
-
-// MaxThroughputCtx is MaxThroughput with cooperative cancellation.
-func MaxThroughputCtx(ctx context.Context, in job.Instance, budget int64) (core.Schedule, error) {
-	return maxThroughput(ctx, in, budget, func(mask int) int64 {
-		return int64(bits.OnesCount(uint(mask)))
-	})
-}
-
-// MaxWeightThroughput is MaxThroughput with job weights (Section 5
-// extension): it maximizes total scheduled weight within the budget.
-func MaxWeightThroughput(in job.Instance, budget int64) (core.Schedule, error) {
-	return MaxWeightThroughputCtx(context.Background(), in, budget)
-}
-
-// MaxWeightThroughputCtx is MaxWeightThroughput with cooperative
-// cancellation.
-func MaxWeightThroughputCtx(ctx context.Context, in job.Instance, budget int64) (core.Schedule, error) {
-	return maxThroughput(ctx, in, budget, func(mask int) int64 {
-		var w int64
-		//lint:ignore busylint/ctxloop popcount walk over one ≤ MaxN = 18 bit mask; the caller's mask scan observes ctx
-		for m := mask; m != 0; m &= m - 1 {
-			w += in.Jobs[bits.TrailingZeros(uint(m))].Weight
-		}
-		return w
-	})
-}
-
-func maxThroughput(ctx context.Context, in job.Instance, budget int64, value func(mask int) int64) (core.Schedule, error) {
-	n := len(in.Jobs)
-	if n > MaxN {
-		return core.Schedule{}, fmt.Errorf("exact: %d jobs exceeds MaxN = %d", n, MaxN)
-	}
-	if err := in.Validate(); err != nil {
-		return core.Schedule{}, err
-	}
-	if budget < 0 {
-		return core.NewSchedule(in), nil
-	}
-
-	spanOf, validQ, err := subsetTables(ctx, in)
-	if err != nil {
-		return core.Schedule{}, err
-	}
-	size := 1 << n
-	cost := make([]int64, size)
-	pick := make([]int, size)
-	for mask := 1; mask < size; mask++ {
-		if mask%ctxCheckInterval == 0 && ctx.Err() != nil {
-			return core.Schedule{}, ctx.Err()
-		}
-		cost[mask] = math.MaxInt64
-		low := mask & -mask
-		rest := mask ^ low
-		for sub := rest; ; sub = (sub - 1) & rest {
-			q := low | sub
-			if validQ[q] {
-				c := spanOf[q] + cost[mask^q]
-				if c < cost[mask] {
-					cost[mask] = c
-					pick[mask] = q
-				}
-			}
-			if sub == 0 {
-				break
-			}
-		}
-	}
-
-	bestMask := 0
-	var bestVal int64
-	var bestCost int64
-	// The winner scan visits all 2^n masks and value() is O(n), so it
-	// needs the same strided cancellation point as the DP above.
-	for mask := 0; mask < size; mask++ {
-		if mask%ctxCheckInterval == 0 && ctx.Err() != nil {
-			return core.Schedule{}, ctx.Err()
-		}
-		if cost[mask] > budget {
-			continue
-		}
-		v := value(mask)
-		if v > bestVal || (v == bestVal && cost[mask] < bestCost) {
-			bestMask, bestVal, bestCost = mask, v, cost[mask]
-		}
-	}
-
-	s := core.NewSchedule(in)
-	machine := 0
-	//lint:ignore busylint/ctxloop reconstruction peels one nonempty machine subset per iteration, at most n ≤ MaxN = 18 steps
-	for mask := bestMask; mask != 0; {
-		q := pick[mask]
-		for m := q; m != 0; m &= m - 1 {
-			s.Assign(bits.TrailingZeros(uint(m)), machine)
-		}
-		machine++
-		mask ^= q
-	}
-	return s, nil
+	return s
 }
 
 // subsetTables precomputes, for every subset mask, the span of its jobs

@@ -24,12 +24,10 @@ const MaxRectN = 7
 // area. It is the ground truth closing the "no exact 2-D oracle" gap:
 // with it, MinBusy2D conformance gets guarantee checks, not just
 // certificate and bound checks.
-func MinBusyRect(in job.RectInstance) (core.RectSchedule, error) {
-	return MinBusyRectCtx(context.Background(), in)
-}
-
-// MinBusyRectCtx is MinBusyRect with cooperative cancellation.
-func MinBusyRectCtx(ctx context.Context, in job.RectInstance) (core.RectSchedule, error) {
+//
+// The branch-and-bound search checks ctx at every node and returns
+// ctx.Err() once it fires.
+func MinBusyRect(ctx context.Context, in job.RectInstance) (core.RectSchedule, error) {
 	n := len(in.Jobs)
 	if n > MaxRectN {
 		return core.RectSchedule{}, fmt.Errorf("exact: %d rect jobs exceeds MaxRectN = %d", n, MaxRectN)
@@ -59,7 +57,7 @@ func MinBusyRectCtx(ctx context.Context, in job.RectInstance) (core.RectSchedule
 
 // MinBusyRectCost returns only the optimal 2-D cost.
 func MinBusyRectCost(in job.RectInstance) (int64, error) {
-	s, err := MinBusyRect(in)
+	s, err := MinBusyRect(context.Background(), in)
 	if err != nil {
 		return 0, err
 	}

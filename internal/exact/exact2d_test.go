@@ -12,7 +12,7 @@ import (
 func TestMinBusyRectTiny(t *testing.T) {
 	// One job: its own area.
 	one := job.RectInstance{G: 2, Jobs: []job.RectJob{job.NewRectJob(0, 0, 4, 0, 3)}}
-	s, err := MinBusyRect(one)
+	s, err := MinBusyRect(context.Background(), one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestMinBusyRectTiny(t *testing.T) {
 		job.NewRectJob(0, 0, 4, 0, 3),
 		job.NewRectJob(1, 0, 4, 0, 3),
 	}}
-	s, err = MinBusyRect(two)
+	s, err = MinBusyRect(context.Background(), two)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestMinBusyRectTiny(t *testing.T) {
 
 	// Same two rectangles at g = 1 cannot share: full area twice.
 	two.G = 1
-	s, err = MinBusyRect(two)
+	s, err = MinBusyRect(context.Background(), two)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestMinBusyRectTiny(t *testing.T) {
 func TestMinBusyRectDominatesApproximations(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		in := workload.BoundedGammaRects(seed, workload.Config{N: 6, G: 2, MaxTime: 40, MaxLen: 10}, 4)
-		opt, err := MinBusyRect(in)
+		opt, err := MinBusyRect(context.Background(), in)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -77,7 +77,7 @@ func TestMinBusyRectDominatesApproximations(t *testing.T) {
 
 func TestMinBusyRectRejectsOversized(t *testing.T) {
 	in := workload.BoundedGammaRects(1, workload.Config{N: MaxRectN + 1, G: 2, MaxTime: 40, MaxLen: 10}, 4)
-	if _, err := MinBusyRect(in); err == nil {
+	if _, err := MinBusyRect(context.Background(), in); err == nil {
 		t.Fatal("oversized instance accepted")
 	}
 }
@@ -86,13 +86,13 @@ func TestMinBusyRectCancellation(t *testing.T) {
 	in := workload.BoundedGammaRects(1, workload.Config{N: MaxRectN, G: 2, MaxTime: 40, MaxLen: 10}, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MinBusyRectCtx(ctx, in); err != context.Canceled {
+	if _, err := MinBusyRect(ctx, in); err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 
 func TestMinBusyRectEmpty(t *testing.T) {
-	s, err := MinBusyRect(job.RectInstance{G: 2})
+	s, err := MinBusyRect(context.Background(), job.RectInstance{G: 2})
 	if err != nil || s.Cost() != 0 {
 		t.Fatalf("empty instance: %v cost %d", err, s.Cost())
 	}

@@ -14,7 +14,7 @@ func TestMinBusySingles(t *testing.T) {
 	// g=1: pairwise-overlapping jobs must be split across machines, so the
 	// optimum is len(J) = 10 + 10 + 3 = 23.
 	in := job.NewInstance(1, [2]int64{0, 10}, [2]int64{5, 15}, [2]int64{9, 12})
-	s, err := MinBusy(in)
+	s, err := MinBusy(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestMinBusySingles(t *testing.T) {
 func TestMinBusyPacksPair(t *testing.T) {
 	// Two identical jobs with g=2 share one machine: cost = 10.
 	in := job.NewInstance(2, [2]int64{0, 10}, [2]int64{0, 10})
-	s, err := MinBusy(in)
+	s, err := MinBusy(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestMinBusyPacksPair(t *testing.T) {
 func TestMinBusyRespectsCapacity(t *testing.T) {
 	// Three identical jobs, g=2: one machine takes 2, another takes 1.
 	in := job.NewInstance(2, [2]int64{0, 10}, [2]int64{0, 10}, [2]int64{0, 10})
-	s, err := MinBusy(in)
+	s, err := MinBusy(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestMinBusyRespectsCapacity(t *testing.T) {
 func TestMinBusyNonOverlappingChain(t *testing.T) {
 	// Non-overlapping jobs can all share one machine even with g=1.
 	in := job.NewInstance(1, [2]int64{0, 5}, [2]int64{5, 10}, [2]int64{20, 25})
-	s, err := MinBusy(in)
+	s, err := MinBusy(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestMinBusyNonOverlappingChain(t *testing.T) {
 }
 
 func TestMinBusyEmpty(t *testing.T) {
-	s, err := MinBusy(job.Instance{G: 1})
+	s, err := MinBusy(context.Background(), job.Instance{G: 1})
 	if err != nil || s.Cost() != 0 {
 		t.Fatalf("empty instance: %v %v", s.Cost(), err)
 	}
@@ -77,7 +77,7 @@ func TestMinBusyTooLarge(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = job.New(i, 0, 1)
 	}
-	if _, err := MinBusy(job.Instance{Jobs: jobs, G: 1}); err == nil {
+	if _, err := MinBusy(context.Background(), job.Instance{Jobs: jobs, G: 1}); err == nil {
 		t.Fatal("oversized instance accepted")
 	}
 }
@@ -86,7 +86,7 @@ func TestMinBusyRespectsDemands(t *testing.T) {
 	in := job.NewInstance(2, [2]int64{0, 10}, [2]int64{0, 10})
 	in.Jobs[0].Demand = 2
 	in.Jobs[1].Demand = 2
-	s, err := MinBusy(in)
+	s, err := MinBusy(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMinBusyRespectsDemands(t *testing.T) {
 
 func TestMaxThroughputBudgetZero(t *testing.T) {
 	in := job.NewInstance(2, [2]int64{0, 10}, [2]int64{0, 10})
-	s, err := MaxThroughput(in, 0)
+	s, err := MaxThroughput(context.Background(), in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestMaxThroughputBudgetZero(t *testing.T) {
 
 func TestMaxThroughputFullBudget(t *testing.T) {
 	in := job.NewInstance(2, [2]int64{0, 10}, [2]int64{5, 15}, [2]int64{30, 40})
-	s, err := MaxThroughput(in, 1000)
+	s, err := MaxThroughput(context.Background(), in, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestMaxThroughputTightBudget(t *testing.T) {
 	// Budget 10 fits the two overlapping jobs on one machine (span 10 each
 	// pair? [0,10) and [0,10) share: cost 10) but not the third far job.
 	in := job.NewInstance(2, [2]int64{0, 10}, [2]int64{0, 10}, [2]int64{30, 40})
-	s, err := MaxThroughput(in, 10)
+	s, err := MaxThroughput(context.Background(), in, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestMaxThroughputPrefersCheaper(t *testing.T) {
 	// Two ways to schedule one job: lengths 10 and 3. Budget 3 fits only
 	// the short one.
 	in := job.NewInstance(1, [2]int64{0, 10}, [2]int64{0, 3})
-	s, err := MaxThroughput(in, 3)
+	s, err := MaxThroughput(context.Background(), in, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestMaxThroughputPrefersCheaper(t *testing.T) {
 func TestMaxWeightThroughput(t *testing.T) {
 	in := job.NewInstance(1, [2]int64{0, 10}, [2]int64{0, 3})
 	in.Jobs[0].Weight = 100 // heavy long job
-	s, err := MaxWeightThroughput(in, 10)
+	s, err := MaxWeightThroughput(context.Background(), in, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestMaxWeightThroughput(t *testing.T) {
 
 func TestMaxThroughputNegativeBudget(t *testing.T) {
 	in := job.NewInstance(1, [2]int64{0, 10})
-	s, err := MaxThroughput(in, -1)
+	s, err := MaxThroughput(context.Background(), in, -1)
 	if err != nil || s.Throughput() != 0 {
 		t.Fatalf("negative budget: %d %v", s.Throughput(), err)
 	}
@@ -186,7 +186,7 @@ func TestPropertyOptimalWithinBounds(t *testing.T) {
 			spans[i] = [2]int64{s, s + 1 + r.Int63n(30)}
 		}
 		in := job.NewInstance(g, spans...)
-		s, err := MinBusy(in)
+		s, err := MinBusy(context.Background(), in)
 		if err != nil || s.Validate() != nil {
 			return false
 		}
@@ -217,11 +217,11 @@ func TestPropertyThroughputConsistency(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		full, err := MaxThroughput(in, opt)
+		full, err := MaxThroughput(context.Background(), in, opt)
 		if err != nil || full.Throughput() != n || full.Cost() > opt {
 			return false
 		}
-		tight, err := MaxThroughput(in, opt-1)
+		tight, err := MaxThroughput(context.Background(), in, opt-1)
 		if err != nil || tight.Throughput() >= n || tight.Cost() > opt-1 {
 			return false
 		}
@@ -247,18 +247,18 @@ func TestCtxCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MinBusyCtx(ctx, in); !errors.Is(err, context.Canceled) {
-		t.Errorf("MinBusyCtx: want context.Canceled, got %v", err)
+	if _, err := MinBusy(ctx, in); !errors.Is(err, context.Canceled) {
+		t.Errorf("MinBusy: want context.Canceled, got %v", err)
 	}
-	if _, err := MaxThroughputCtx(ctx, in, 1000); !errors.Is(err, context.Canceled) {
-		t.Errorf("MaxThroughputCtx: want context.Canceled, got %v", err)
+	if _, err := MaxThroughput(ctx, in, 1000); !errors.Is(err, context.Canceled) {
+		t.Errorf("MaxThroughput: want context.Canceled, got %v", err)
 	}
-	if _, err := MaxWeightThroughputCtx(ctx, in, 1000); !errors.Is(err, context.Canceled) {
-		t.Errorf("MaxWeightThroughputCtx: want context.Canceled, got %v", err)
+	if _, err := MaxWeightThroughput(ctx, in, 1000); !errors.Is(err, context.Canceled) {
+		t.Errorf("MaxWeightThroughput: want context.Canceled, got %v", err)
 	}
 
 	// A live context solves normally through the same code path.
-	s, err := MinBusyCtx(context.Background(), in)
+	s, err := MinBusy(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}

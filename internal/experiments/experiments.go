@@ -324,7 +324,7 @@ func E7(seeds int) Result {
 				if err != nil {
 					panic(err)
 				}
-				optS, err := exact.MaxThroughput(in, budget)
+				optS, err := exact.MaxThroughput(context.Background(), in, budget)
 				if err != nil {
 					panic(err)
 				}
@@ -369,7 +369,7 @@ func E8(seeds int) Result {
 			if err != nil {
 				panic(err)
 			}
-			o, err := exact.MaxThroughput(in, budget)
+			o, err := exact.MaxThroughput(context.Background(), in, budget)
 			if err != nil {
 				panic(err)
 			}
@@ -382,7 +382,7 @@ func E8(seeds int) Result {
 			if err != nil {
 				panic(err)
 			}
-			wo, err := exact.MaxWeightThroughput(in, budget)
+			wo, err := exact.MaxWeightThroughput(context.Background(), in, budget)
 			if err != nil {
 				panic(err)
 			}
@@ -504,7 +504,7 @@ func E11(seeds int) Result {
 			if err != nil {
 				panic(err)
 			}
-			o, err := exact.MaxThroughput(in, budget)
+			o, err := exact.MaxThroughput(context.Background(), in, budget)
 			if err != nil {
 				panic(err)
 			}
@@ -576,7 +576,7 @@ func E13(seeds int) Result {
 	}
 }
 
-// E14 is the ablation study for the design choices DESIGN.md calls out:
+// E14 is the ablation study of three of the paper's design choices:
 // (a) BestCut's g cut offsets vs a single fixed cut, (b) the combined
 // CliqueSetCover vs its modified-weight and plain-span variants alone,
 // (c) the combined clique throughput algorithm vs Alg1 and Alg2 alone.
@@ -615,15 +615,15 @@ func E14(seeds int) Result {
 		if err != nil {
 			panic(err)
 		}
-		c, err := core.CliqueSetCover(in)
+		c, err := core.CliqueSetCover(context.Background(), in)
 		if err != nil {
 			panic(err)
 		}
-		m, err := core.CliqueSetCoverModified(in)
+		m, err := core.CliqueSetCoverModified(context.Background(), in)
 		if err != nil {
 			panic(err)
 		}
-		p, err := core.CliqueSetCoverPlain(in)
+		p, err := core.CliqueSetCoverPlain(context.Background(), in)
 		if err != nil {
 			panic(err)
 		}
@@ -647,7 +647,7 @@ func E14(seeds int) Result {
 			panic(err)
 		}
 		budget := full / 2
-		opt, err := exact.MaxThroughput(in, budget)
+		opt, err := exact.MaxThroughput(context.Background(), in, budget)
 		if err != nil {
 			panic(err)
 		}

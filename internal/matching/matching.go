@@ -35,20 +35,11 @@ type Edge struct {
 // vertex is unmatched. Negative-weight edges never help a maximum-weight
 // matching and are ignored. Max panics on self-loops or out-of-range
 // vertices, which are programming errors.
-func Max(n int, edges []Edge) []int {
-	mate, err := MaxCtx(context.Background(), n, edges)
-	if err != nil {
-		// Background is never canceled; solve has no other error path.
-		panic("matching: " + err.Error())
-	}
-	return mate
-}
-
-// MaxCtx is Max with cooperative cancellation: the O(V³) primal-dual
-// stage loop checks ctx every ctxCheckInterval inner steps and returns
-// ctx.Err() once it fires, so a Solver deadline can abandon a large
-// matching mid-stage.
-func MaxCtx(ctx context.Context, n int, edges []Edge) ([]int, error) {
+//
+// The O(V³) primal-dual stage loop checks ctx every ctxCheckInterval
+// inner steps and returns ctx.Err() once it fires, so a Solver deadline
+// can abandon a large matching mid-stage; ctx is the only error source.
+func Max(ctx context.Context, n int, edges []Edge) ([]int, error) {
 	useful := make([]Edge, 0, len(edges))
 	// Clique instances feed Θ(n²) edges through here, so even this
 	// validation pass gets a strided cancellation point.

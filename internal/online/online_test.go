@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -168,7 +169,7 @@ func TestFirstFitCompetitiveRegression(t *testing.T) {
 	} {
 		for seed := int64(1); seed <= 10; seed++ {
 			in := gen(seed, workload.Config{N: 12, G: 3, MaxTime: 60, MaxLen: 20})
-			opt, err := exact.MinBusy(in)
+			opt, err := exact.MinBusy(context.Background(), in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +193,7 @@ func TestAdversarialFirstFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := exact.MinBusy(in)
+	opt, err := exact.MinBusy(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestAdversarialRatioOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := exact.MinBusy(in)
+	opt, err := exact.MinBusy(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}

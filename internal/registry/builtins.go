@@ -77,14 +77,14 @@ func init() {
 		Name: "clique-set-cover", Aliases: []string{"setcover"}, Kind: MinBusy,
 		Classes:   []igraph.Class{igraph.Clique},
 		Guarantee: "H_g proven (paper claims g·H_g/(H_g+g−1))", Ratio: setCoverRatio, Ref: "Lemma 3.2", Strength: 30,
-		SolveMinBusy: core.CliqueSetCoverCtx,
+		SolveMinBusy: core.CliqueSetCover,
 	})
 	MustRegister(Algorithm{
 		Name: "clique-matching", Aliases: []string{"matching"}, Kind: MinBusy,
 		Classes: []igraph.Class{igraph.Clique},
 		MinG:    2, MaxG: 2,
 		Guarantee: "exact (g = 2)", Ratio: exactRatio, Exact: true, Ref: "Lemma 3.1", Strength: 40,
-		SolveMinBusy: core.CliqueMatchingCtx,
+		SolveMinBusy: core.CliqueMatching,
 	})
 	MustRegister(Algorithm{
 		Name: "find-best-consecutive", Aliases: []string{"consecutive"}, Kind: MinBusy,
@@ -102,7 +102,7 @@ func init() {
 		Name: "exact", Aliases: []string{"exact-min-busy"}, Kind: MinBusy,
 		Classes:   []igraph.Class{igraph.General},
 		Guarantee: "exact (n ≤ 18)", Ratio: exactRatio, Exact: true, Oracle: true, Ref: "subset DP oracle",
-		SolveMinBusy: exact.MinBusyCtx,
+		SolveMinBusy: exact.MinBusy,
 	})
 
 	// MaxThroughput algorithms.
@@ -148,13 +148,13 @@ func init() {
 		Name: "exact-throughput", Aliases: []string{"throughput-exact"}, Kind: MaxThroughput,
 		Classes:   []igraph.Class{igraph.General},
 		Guarantee: "exact (n ≤ 18)", Ratio: exactRatio, Exact: true, Oracle: true, Ref: "subset DP oracle",
-		SolveThroughput: exact.MaxThroughputCtx,
+		SolveThroughput: exact.MaxThroughput,
 	})
 	MustRegister(Algorithm{
 		Name: "exact-weight-throughput", Aliases: []string{"weight-exact"}, Kind: MaxThroughput,
 		Classes:   []igraph.Class{igraph.General},
 		Guarantee: "exact weighted (n ≤ 18)", Ratio: exactRatio, Weighted: true, Exact: true, Oracle: true, Ref: "subset DP oracle",
-		SolveThroughput: exact.MaxWeightThroughputCtx,
+		SolveThroughput: exact.MaxWeightThroughput,
 	})
 
 	// Two-dimensional MinBusy algorithms (Section 3.4).
@@ -187,7 +187,7 @@ func init() {
 		Classes:   []igraph.Class{igraph.General},
 		Guarantee: "exact (n ≤ 7)", Ratio: exactRatio, Exact: true, Oracle: true,
 		Ref:       "exhaustive rectangle assignment oracle",
-		SolveRect: exact.MinBusyRectCtx,
+		SolveRect: exact.MinBusyRect,
 	})
 
 	// Online strategies. Strength orders the auto pick: FirstFit tracks

@@ -3,10 +3,10 @@ package registry
 // UnregisteredOK lists exported constructor-shaped functions of the
 // algorithm packages that deliberately have no registry entry, each with
 // the reason. busylint/registryhygiene reads this literal: a constructor
-// must either be referenced from this package (directly or via its Ctx
-// variant) or appear here with a non-empty reason, and entries for
-// registered or nonexistent constructors are flagged as stale, so the
-// list can never drift from the code.
+// must either be referenced from this package or appear here with a
+// non-empty reason, and entries for registered or nonexistent
+// constructors are flagged as stale, so the list can never drift from
+// the code.
 var UnregisteredOK = map[string]string{
 	"repro/internal/core.NewSchedule":            "empty-schedule constructor used by every algorithm; not an algorithm itself",
 	"repro/internal/core.BucketFirstFit":         "fixed-β building block; registered through BucketFirstFitAuto, which picks β and transposes",

@@ -65,7 +65,6 @@ func Repair(ctx context.Context, base Entry, in job.Instance, canonJobs []CanonJ
 	var added []int                  // canonical positions of inserted jobs
 	var deltaIvs []interval.Interval // the delta's footprint in submission time
 	removed := 0
-	nextMachine := 0
 	bi, ni := 0, 0
 	for bi < len(base.Jobs) && ni < len(canonJobs) {
 		switch {
@@ -77,9 +76,6 @@ func Repair(ctx context.Context, base Entry, in job.Instance, canonJobs []CanonJ
 			pos := perm[ni]
 			sch.Assign(pos, m)
 			incumbent[pos] = m
-			if m >= nextMachine {
-				nextMachine = m + 1
-			}
 			bi++
 			ni++
 		case base.Jobs[bi].less(canonJobs[ni]):
@@ -112,72 +108,7 @@ func Repair(ctx context.Context, base Entry, in job.Instance, canonJobs []CanonJ
 
 	// Machine state for capacity checks and marginal-cost scans, indexed
 	// by (still-compact-enough) incumbent labels.
-	machineIvs := make([][]interval.Interval, nextMachine)
-	machineDem := make([][]int64, nextMachine)
-	machinePos := make([][]int, nextMachine)
-	for pos, m := range sch.Machine {
-		if m == core.Unscheduled {
-			continue
-		}
-		machineIvs[m] = append(machineIvs[m], in.Jobs[pos].Interval)
-		machineDem[m] = append(machineDem[m], in.Jobs[pos].Demand)
-		machinePos[m] = append(machinePos[m], pos)
-	}
-	// marginal is the busy time adding job pos's interval to machine m
-	// would create: the part of the interval not already covered by m's
-	// jobs (excluding machine position skipPos, or -1 for none). With
-	// skipPos = the job's own slot it doubles as the span released by
-	// evicting the job. Everything is clipped to the one interval, so a
-	// probe costs O(overlap), not a sort of the whole machine.
-	marginal := func(m int, iv interval.Interval, skipPos int) int64 {
-		var clipped []interval.Interval
-		for k, o := range machineIvs[m] {
-			if machinePos[m][k] == skipPos {
-				continue
-			}
-			if ov := o.Intersect(iv); !ov.Empty() {
-				clipped = append(clipped, ov)
-			}
-		}
-		return iv.Len() - interval.Span(clipped)
-	}
-	// fits checks capacity for adding job pos to machine m. A violation
-	// must involve the new job, so only m's jobs overlapping it matter —
-	// clipped to its interval, concurrency there is unchanged.
-	fits := func(m, pos int) bool {
-		iv := in.Jobs[pos].Interval
-		ivs := []interval.Interval{iv}
-		dems := []int64{in.Jobs[pos].Demand}
-		for k, o := range machineIvs[m] {
-			if ov := o.Intersect(iv); !ov.Empty() {
-				ivs = append(ivs, ov)
-				dems = append(dems, machineDem[m][k])
-			}
-		}
-		return interval.WeightedMaxConcurrency(ivs, dems) <= int64(in.G)
-	}
-	addTo := func(m, pos int) {
-		machineIvs[m] = append(machineIvs[m], in.Jobs[pos].Interval)
-		machineDem[m] = append(machineDem[m], in.Jobs[pos].Demand)
-		machinePos[m] = append(machinePos[m], pos)
-	}
-	removeFrom := func(m, pos int) {
-		for k, p := range machinePos[m] {
-			if p == pos {
-				machineIvs[m] = append(machineIvs[m][:k], machineIvs[m][k+1:]...)
-				machineDem[m] = append(machineDem[m][:k], machineDem[m][k+1:]...)
-				machinePos[m] = append(machinePos[m][:k], machinePos[m][k+1:]...)
-				return
-			}
-		}
-	}
-	openMachine := func() int {
-		machineIvs = append(machineIvs, nil)
-		machineDem = append(machineDem, nil)
-		machinePos = append(machinePos, nil)
-		nextMachine++
-		return nextMachine - 1
-	}
+	loads := core.NewLoads(sch)
 
 	// Best-fit insertion: each added job lands where it adds the least
 	// busy time (ties to the lowest machine), or on a fresh machine when
@@ -185,14 +116,13 @@ func Repair(ctx context.Context, base Entry, in job.Instance, canonJobs []CanonJ
 	affected := map[int]bool{}
 	for _, ni := range added {
 		pos := perm[ni]
-		iv := in.Jobs[pos].Interval
-		bestM, bestDelta := -1, iv.Len()
-		for m := 0; m < nextMachine; m++ {
-			delta := marginal(m, iv, -1)
+		bestM, bestDelta := -1, in.Jobs[pos].Len()
+		for m := 0; m < loads.Machines(); m++ {
+			delta := loads.Marginal(m, pos)
 			if delta > bestDelta || (delta == bestDelta && bestM != -1) {
 				continue // not cheaper than the best so far (or a fresh machine)
 			}
-			if !fits(m, pos) {
+			if !loads.Fits(m, pos) {
 				continue
 			}
 			bestM, bestDelta = m, delta
@@ -201,9 +131,9 @@ func Repair(ctx context.Context, base Entry, in job.Instance, canonJobs []CanonJ
 			}
 		}
 		if bestM == -1 {
-			bestM = openMachine()
+			bestM = loads.Open()
 		}
-		addTo(bestM, pos)
+		loads.Add(bestM, pos)
 		sch.Assign(pos, bestM)
 		affected[bestM] = true
 	}
@@ -221,12 +151,11 @@ func Repair(ctx context.Context, base Entry, in job.Instance, canonJobs []CanonJ
 	}
 	moved := map[int]bool{} // instance positions charged as transitions
 	// Deterministic iteration: affected is keyed by compact machine ids.
-	for m := 0; m < nextMachine; m++ {
+	for m := 0; m < loads.Machines(); m++ {
 		if !affected[m] {
 			continue
 		}
-		positions := append([]int(nil), machinePos[m]...)
-		for _, pos := range positions {
+		for _, pos := range append([]int(nil), loads.Members(m)...) {
 			if !inDelta(in.Jobs[pos].Interval) {
 				continue
 			}
@@ -238,23 +167,22 @@ func Repair(ctx context.Context, base Entry, in job.Instance, canonJobs []CanonJ
 			if chargeable && len(moved) >= budget {
 				continue
 			}
-			iv := in.Jobs[pos].Interval
-			release := marginal(from, iv, pos)
+			release := loads.Marginal(from, pos)
 			if release <= 0 {
 				// The job's interval is covered by its machine-mates:
 				// evicting it frees nothing, so no move can profit.
 				continue
 			}
 			bestTo, bestDelta := -1, int64(0)
-			for to := 0; to < nextMachine; to++ {
+			for to := 0; to < loads.Machines(); to++ {
 				if to == from {
 					continue
 				}
-				delta := marginal(to, iv, -1) - release
+				delta := loads.Marginal(to, pos) - release
 				if delta >= 0 || (bestTo != -1 && delta >= bestDelta) {
 					continue
 				}
-				if !fits(to, pos) {
+				if !loads.Fits(to, pos) {
 					continue
 				}
 				bestTo, bestDelta = to, delta
@@ -262,8 +190,8 @@ func Repair(ctx context.Context, base Entry, in job.Instance, canonJobs []CanonJ
 			if bestTo == -1 {
 				continue
 			}
-			removeFrom(from, pos)
-			addTo(bestTo, pos)
+			loads.Remove(from, pos)
+			loads.Add(bestTo, pos)
 			sch.Assign(pos, bestTo)
 			if incumbent[pos] != -1 && incumbent[pos] != bestTo {
 				moved[pos] = true

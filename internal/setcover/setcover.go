@@ -37,15 +37,11 @@ type Set struct {
 // order. Greedy returns an error if the union of all sets does not cover
 // the universe. The cover cost is within H_k of optimal, where k is the
 // largest set size.
-func Greedy(n int, sets []Set) ([]int, error) {
-	return GreedyCtx(context.Background(), n, sets)
-}
-
-// GreedyCtx is Greedy with cooperative cancellation: the O(n·|sets|)
-// candidate scan checks ctx every ctxCheckInterval inspections and
-// returns ctx.Err() once it fires, so a Solver deadline can abandon a
-// multi-million-set cover mid-iteration.
-func GreedyCtx(ctx context.Context, n int, sets []Set) ([]int, error) {
+//
+// The O(n·|sets|) candidate scan checks ctx every ctxCheckInterval
+// inspections and returns ctx.Err() once it fires, so a Solver deadline
+// can abandon a multi-million-set cover mid-iteration.
+func Greedy(ctx context.Context, n int, sets []Set) ([]int, error) {
 	covered := make([]bool, n)
 	remaining := n
 	used := make([]bool, len(sets))
@@ -107,13 +103,9 @@ func GreedyCtx(ctx context.Context, n int, sets []Set) ([]int, error) {
 // exactly once, which only a partition guarantees. The family must be
 // subset-rich enough to always offer a fully-uncovered set (singletons
 // suffice); otherwise an error is returned.
-func GreedyPartition(n int, sets []Set) ([]int, error) {
-	return GreedyPartitionCtx(context.Background(), n, sets)
-}
-
-// GreedyPartitionCtx is GreedyPartition with cooperative cancellation,
-// checking ctx on the same schedule as GreedyCtx.
-func GreedyPartitionCtx(ctx context.Context, n int, sets []Set) ([]int, error) {
+//
+// It checks ctx on the same schedule as Greedy.
+func GreedyPartition(ctx context.Context, n int, sets []Set) ([]int, error) {
 	covered := make([]bool, n)
 	remaining := n
 	used := make([]bool, len(sets))
@@ -207,14 +199,11 @@ func Partition(n int, sets []Set, chosen []int) [][]int {
 // k, invoking visit with a reused scratch slice (callers must copy if they
 // retain it). The number of subsets is Σ_{i=1..k} C(n,i); Count reports it
 // so callers can refuse oversized enumerations.
-func EnumerateSubsets(n, k int, visit func(subset []int)) {
-	_ = EnumerateSubsetsCtx(context.Background(), n, k, visit)
-}
-
-// EnumerateSubsetsCtx is EnumerateSubsets with cooperative cancellation:
-// it checks ctx every ctxCheckInterval visited subsets, abandons the
-// enumeration once it fires, and returns ctx.Err().
-func EnumerateSubsetsCtx(ctx context.Context, n, k int, visit func(subset []int)) error {
+//
+// It checks ctx every ctxCheckInterval visited subsets, abandons the
+// enumeration once it fires, and returns ctx.Err(); ctx is the only
+// error source.
+func EnumerateSubsets(ctx context.Context, n, k int, visit func(subset []int)) error {
 	scratch := make([]int, 0, k)
 	visited := 0
 	var rec func(start int) error

@@ -2,7 +2,6 @@ package setcover
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,7 +14,7 @@ func TestGreedySimple(t *testing.T) {
 		{Elements: []int{2}, Weight: 1},
 		{Elements: []int{0, 1, 2}, Weight: 10},
 	}
-	chosen, err := Greedy(3, sets)
+	chosen, err := Greedy(context.Background(), 3, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func TestGreedyPrefersRatio(t *testing.T) {
 		{Elements: []int{2}, Weight: 2},
 		{Elements: []int{3}, Weight: 2},
 	}
-	chosen, err := Greedy(4, sets)
+	chosen, err := Greedy(context.Background(), 4, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestGreedyZeroWeights(t *testing.T) {
 		{Elements: []int{0}, Weight: 0},
 		{Elements: []int{1}, Weight: 0},
 	}
-	chosen, err := Greedy(2, sets)
+	chosen, err := Greedy(context.Background(), 2, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,19 +56,19 @@ func TestGreedyZeroWeights(t *testing.T) {
 }
 
 func TestGreedyUncoverable(t *testing.T) {
-	if _, err := Greedy(2, []Set{{Elements: []int{0}, Weight: 1}}); err == nil {
+	if _, err := Greedy(context.Background(), 2, []Set{{Elements: []int{0}, Weight: 1}}); err == nil {
 		t.Fatal("expected error for uncoverable universe")
 	}
 }
 
 func TestGreedyRejectsOutOfRange(t *testing.T) {
-	if _, err := Greedy(2, []Set{{Elements: []int{5}, Weight: 1}}); err == nil {
+	if _, err := Greedy(context.Background(), 2, []Set{{Elements: []int{5}, Weight: 1}}); err == nil {
 		t.Fatal("expected error for out-of-range element")
 	}
 }
 
 func TestGreedyEmptyUniverse(t *testing.T) {
-	chosen, err := Greedy(0, nil)
+	chosen, err := Greedy(context.Background(), 0, nil)
 	if err != nil || len(chosen) != 0 {
 		t.Fatalf("empty universe: %v %v", chosen, err)
 	}
@@ -83,7 +82,7 @@ func TestGreedyPartitionDisjoint(t *testing.T) {
 		{Elements: []int{0}, Weight: 9},
 		{Elements: []int{1}, Weight: 9},
 	}
-	chosen, err := GreedyPartition(3, sets)
+	chosen, err := GreedyPartition(context.Background(), 3, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +104,13 @@ func TestGreedyPartitionFailsWithoutSingletons(t *testing.T) {
 		{Elements: []int{0, 1}, Weight: 1},
 		{Elements: []int{1, 2}, Weight: 1},
 	}
-	if _, err := GreedyPartition(3, sets); err == nil {
+	if _, err := GreedyPartition(context.Background(), 3, sets); err == nil {
 		t.Fatal("expected failure: no disjoint completion exists")
 	}
 }
 
 func TestGreedyPartitionEmptyUniverse(t *testing.T) {
-	chosen, err := GreedyPartition(0, nil)
+	chosen, err := GreedyPartition(context.Background(), 0, nil)
 	if err != nil || len(chosen) != 0 {
 		t.Fatalf("empty universe: %v %v", chosen, err)
 	}
@@ -142,10 +141,12 @@ func TestPartitionPanicsOnNonCover(t *testing.T) {
 
 func TestEnumerateSubsets(t *testing.T) {
 	var got [][]int
-	EnumerateSubsets(4, 2, func(s []int) {
+	if err := EnumerateSubsets(context.Background(), 4, 2, func(s []int) {
 		cp := append([]int(nil), s...)
 		got = append(got, cp)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	want := int64(4 + 6) // C(4,1)+C(4,2)
 	if int64(len(got)) != want {
 		t.Fatalf("enumerated %d subsets, want %d", len(got), want)
@@ -262,7 +263,7 @@ func TestPropertyGreedyWithinHk(t *testing.T) {
 		if maxSize < 1 {
 			maxSize = 1
 		}
-		chosen, err := Greedy(n, sets)
+		chosen, err := Greedy(context.Background(), n, sets)
 		if err != nil {
 			return false
 		}
@@ -275,7 +276,7 @@ func TestPropertyGreedyWithinHk(t *testing.T) {
 	}
 }
 
-func TestGreedyCtxCancellation(t *testing.T) {
+func TestGreedyCancellation(t *testing.T) {
 	// A pre-canceled context must surface from both greedy variants and
 	// from the subset enumeration instead of running to completion.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -286,33 +287,13 @@ func TestGreedyCtxCancellation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		sets = append(sets, Set{Elements: []int{i}, Weight: 1})
 	}
-	if _, err := GreedyCtx(ctx, n, sets); err != context.Canceled {
-		t.Errorf("GreedyCtx returned %v, want context.Canceled", err)
+	if _, err := Greedy(ctx, n, sets); err != context.Canceled {
+		t.Errorf("Greedy returned %v, want context.Canceled", err)
 	}
-	if _, err := GreedyPartitionCtx(ctx, n, sets); err != context.Canceled {
-		t.Errorf("GreedyPartitionCtx returned %v, want context.Canceled", err)
+	if _, err := GreedyPartition(ctx, n, sets); err != context.Canceled {
+		t.Errorf("GreedyPartition returned %v, want context.Canceled", err)
 	}
-	if err := EnumerateSubsetsCtx(ctx, 30, 4, func([]int) {}); err != context.Canceled {
-		t.Errorf("EnumerateSubsetsCtx returned %v, want context.Canceled", err)
-	}
-}
-
-func TestGreedyCtxBackgroundMatchesGreedy(t *testing.T) {
-	sets := []Set{
-		{Elements: []int{0, 1}, Weight: 3},
-		{Elements: []int{1, 2}, Weight: 2},
-		{Elements: []int{0}, Weight: 1},
-		{Elements: []int{2}, Weight: 1},
-	}
-	want, err := Greedy(3, sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := GreedyCtx(context.Background(), 3, sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("GreedyCtx chose %v, Greedy chose %v", got, want)
+	if err := EnumerateSubsets(ctx, 30, 4, func([]int) {}); err != context.Canceled {
+		t.Errorf("EnumerateSubsets returned %v, want context.Canceled", err)
 	}
 }

@@ -12,9 +12,9 @@ package ring
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/rect"
 )
 
@@ -198,35 +198,16 @@ func FirstFit(in Instance) Schedule {
 		return da > db
 	})
 
-	var machines [][][]int
-	fits := func(thread []int, p int) bool {
-		for _, q := range thread {
-			if in.Overlaps(in.Jobs[q], in.Jobs[p]) {
-				return false
-			}
-		}
-		return true
-	}
+	packer := core.ThreadPacker{G: in.G}
 	for _, p := range order {
-		placed := false
-		for m := 0; m < len(machines) && !placed; m++ {
-			for t := 0; t < len(machines[m]) && !placed; t++ {
-				if fits(machines[m][t], p) {
-					machines[m][t] = append(machines[m][t], p)
-					s.Machine[p] = m
-					placed = true
+		s.Machine[p], _ = packer.Place(p, func(thread []int) bool {
+			for _, q := range thread {
+				if in.Overlaps(in.Jobs[q], in.Jobs[p]) {
+					return false
 				}
 			}
-			if !placed && len(machines[m]) < in.G {
-				machines[m] = append(machines[m], []int{p})
-				s.Machine[p] = m
-				placed = true
-			}
-		}
-		if !placed {
-			machines = append(machines, [][]int{{p}})
-			s.Machine[p] = len(machines) - 1
-		}
+			return true
+		})
 	}
 	return s
 }
@@ -234,54 +215,21 @@ func FirstFit(in Instance) Schedule {
 // BucketFirstFit buckets jobs by arc length with ratio ≤ beta per bucket
 // and runs FirstFit per bucket on fresh machines — Theorem 3.3 adapted to
 // the ring (the lemma it relies on is topology-independent, see Section 5).
+// beta must be > 1 and every arc length positive.
 func BucketFirstFit(in Instance, beta float64) (Schedule, error) {
-	if beta <= 1 {
-		return Schedule{}, fmt.Errorf("ring: BucketFirstFit needs beta > 1, got %v", beta)
-	}
-	n := len(in.Jobs)
-	s := Schedule{Instance: in, Machine: make([]int, n)}
-	if n == 0 {
-		return s, nil
-	}
-	minLen := int64(math.MaxInt64)
-	for _, j := range in.Jobs {
-		if j.Arc.Length < minLen {
-			minLen = j.Arc.Length
-		}
-	}
-	buckets := map[int][]int{}
+	lengths := make([]int64, len(in.Jobs))
 	for i, j := range in.Jobs {
-		ratio := float64(j.Arc.Length) / float64(minLen)
-		b := 0
-		if ratio > 1 {
-			b = int(math.Ceil(math.Log(ratio) / math.Log(beta)))
-			if math.Pow(beta, float64(b-1)) >= ratio-1e-12 && b > 0 {
-				b--
-			}
-		}
-		buckets[b] = append(buckets[b], i)
+		lengths[i] = j.Arc.Length
 	}
-	keys := make([]int, 0, len(buckets))
-	for b := range buckets {
-		keys = append(keys, b)
-	}
-	sort.Ints(keys)
-	base := 0
-	for _, b := range keys {
-		sub := Instance{C: in.C, G: in.G}
-		for _, p := range buckets[b] {
-			sub.Jobs = append(sub.Jobs, in.Jobs[p])
+	machine, err := core.BucketPack(lengths, beta, func(members []int) []int {
+		sub := Instance{C: in.C, G: in.G, Jobs: make([]Job, len(members))}
+		for k, p := range members {
+			sub.Jobs[k] = in.Jobs[p]
 		}
-		subS := FirstFit(sub)
-		maxM := 0
-		for k, p := range buckets[b] {
-			m := subS.Machine[k]
-			s.Machine[p] = base + m
-			if m > maxM {
-				maxM = m
-			}
-		}
-		base += maxM + 1
+		return FirstFit(sub).Machine
+	})
+	if err != nil {
+		return Schedule{}, fmt.Errorf("ring: BucketFirstFit %w", err)
 	}
-	return s, nil
+	return Schedule{Instance: in, Machine: machine}, nil
 }

@@ -132,6 +132,19 @@ func TestBucketFirstFitRejectsBadBeta(t *testing.T) {
 	}
 }
 
+// A zero arc length would make every other job's length ratio +Inf and
+// its bucket int(+Inf), which Go leaves implementation-defined.
+func TestBucketFirstFitRejectsNonPositiveLength(t *testing.T) {
+	in := Instance{C: 10, G: 2, Jobs: []Job{
+		{ID: 0, Arc: Arc{Start: 0, Length: 0}, TStart: 0, TEnd: 4},
+		{ID: 1, Arc: Arc{Start: 2, Length: 3}, TStart: 0, TEnd: 4},
+		{ID: 2, Arc: Arc{Start: 6, Length: 5}, TStart: 0, TEnd: 4},
+	}}
+	if s, err := BucketFirstFit(in, 3.3); err == nil {
+		t.Fatalf("accepted a zero-length arc: machines %v", s.Machine)
+	}
+}
+
 func randomInstance(seed int64, n, g int) Instance {
 	r := rand.New(rand.NewSource(seed))
 	in := Instance{C: 200, G: g}

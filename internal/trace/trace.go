@@ -9,8 +9,8 @@
 // returns a nil *Span unless the context was explicitly enabled (the
 // server enables every request; library callers opt in with Enable),
 // and every Span method is a no-op on nil. The disabled path costs two
-// context lookups per Start — pinned by BenchmarkSolveTraced vs
-// BenchmarkSolve in CI.
+// context lookups per Start — pinned, with the enabled path's cost, by
+// BenchmarkTraceOverhead in CI.
 package trace
 
 import (

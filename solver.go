@@ -438,10 +438,15 @@ func (s *Solver) SolveBatch(ctx context.Context, reqs []Request) ([]Result, erro
 
 // solveOne is the shared request path behind Solve and SolveBatch. It
 // opens the per-request "solve" span — a no-op on untraced contexts —
-// dispatches, and attaches the finished span tree to the Result.
+// dispatches, times the dispatch into Result.Elapsed, and attaches the
+// finished span tree to the Result.
 func (s *Solver) solveOne(ctx context.Context, req Request) (Result, error) {
 	ctx, sp := trace.Start(ctx, "solve")
+	start := time.Now()
 	res, err := s.dispatch(ctx, req)
+	if err == nil {
+		res.Elapsed = time.Since(start)
+	}
 	if sp != nil {
 		if err != nil {
 			sp.SetAttr("error", err.Error())
@@ -465,7 +470,6 @@ func (s *Solver) solveOne(ctx context.Context, req Request) (Result, error) {
 // dispatch classifies the request once and routes it on the problem
 // kind.
 func (s *Solver) dispatch(ctx context.Context, req Request) (Result, error) {
-	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -475,7 +479,7 @@ func (s *Solver) dispatch(ctx context.Context, req Request) (Result, error) {
 		if req.Rect == nil {
 			return Result{}, fmt.Errorf("busytime: %s request needs a Rect instance", kind)
 		}
-		return s.solveRect(ctx, req, start)
+		return s.solveRect(ctx, req)
 	}
 
 	in := req.Instance
@@ -486,12 +490,12 @@ func (s *Solver) dispatch(ctx context.Context, req Request) (Result, error) {
 		return Result{}, fmt.Errorf("busytime: transition budget %d, need >= 0", req.TransitionBudget)
 	}
 	if kind == KindMinBusy && s.reopt != nil {
-		return s.solveReopt(ctx, req, start)
+		return s.solveReopt(ctx, req)
 	}
 	if req.BaseID != "" {
 		return Result{}, fmt.Errorf("busytime: Request.BaseID needs WithReoptimization and a %s request", KindMinBusy)
 	}
-	return s.solve1D(ctx, req, kind, start)
+	return s.solve1D(ctx, req, kind)
 }
 
 // solve1D is the cold (cache-free) 1-D solve path: classify once,
@@ -499,7 +503,7 @@ func (s *Solver) dispatch(ctx context.Context, req Request) (Result, error) {
 // instance is already validated. Each phase runs under its own span:
 // "classify" (class detection), "placement" (the algorithm itself),
 // "local-search" (when enabled) and "bound" (Observation 2.1).
-func (s *Solver) solve1D(ctx context.Context, req Request, kind ProblemKind, start time.Time) (Result, error) {
+func (s *Solver) solve1D(ctx context.Context, req Request, kind ProblemKind) (Result, error) {
 	in := req.Instance
 	_, csp := trace.Start(ctx, "classify")
 	class := igraph.Classify(in.Jobs)
@@ -540,7 +544,6 @@ func (s *Solver) solve1D(ctx context.Context, req Request, kind ProblemKind, sta
 	res.Machines = sch.Machines()
 	res.LowerBound = lb
 	res.RatioVsBound = stats.Ratio(cost, lb)
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
@@ -613,7 +616,7 @@ func nearLimit(n int) int {
 // BaseID warm starts route through local repair, and misses fall
 // through to the cold path and are cached. Every served schedule is
 // rebuilt on — and certified against — the submitted instance.
-func (s *Solver) solveReopt(ctx context.Context, req Request, start time.Time) (Result, error) {
+func (s *Solver) solveReopt(ctx context.Context, req Request) (Result, error) {
 	in := req.Instance
 	_, fsp := trace.Start(ctx, "reopt.fingerprint")
 	canon, perm := reopt.Canonical(in)
@@ -626,17 +629,17 @@ func (s *Solver) solveReopt(ctx context.Context, req Request, start time.Time) (
 	if req.BaseID != "" {
 		if e, ok := s.reopt.LookupID(req.BaseID); ok {
 			if e.Fingerprint == fp {
-				if res, err := s.serveCacheHit(e, in, perm, start); err == nil {
+				if res, err := s.serveCacheHit(e, in, perm); err == nil {
 					return res, nil
 				}
-			} else if res, ok := s.serveRepair(ctx, e, in, canon, perm, fp, req.TransitionBudget, start); ok {
+			} else if res, ok := s.serveRepair(ctx, e, in, canon, perm, fp, req.TransitionBudget); ok {
 				return res, nil
 			}
 		}
 	}
 
 	if e, ok := s.reopt.Lookup(fp); ok {
-		if res, err := s.serveCacheHit(e, in, perm, start); err == nil {
+		if res, err := s.serveCacheHit(e, in, perm); err == nil {
 			return res, nil
 		}
 	}
@@ -645,12 +648,12 @@ func (s *Solver) solveReopt(ctx context.Context, req Request, start time.Time) (
 	e, _, near := s.reopt.Nearest(in.G, canon, nearLimit(len(in.Jobs)))
 	nsp.End()
 	if near {
-		if res, ok := s.serveRepair(ctx, e, in, canon, perm, fp, req.TransitionBudget, start); ok {
+		if res, ok := s.serveRepair(ctx, e, in, canon, perm, fp, req.TransitionBudget); ok {
 			return res, nil
 		}
 	}
 
-	res, err := s.solve1D(ctx, req, KindMinBusy, start)
+	res, err := s.solve1D(ctx, req, KindMinBusy)
 	if err != nil {
 		return res, err
 	}
@@ -661,19 +664,18 @@ func (s *Solver) solveReopt(ctx context.Context, req Request, start time.Time) (
 			Algorithm: res.Algorithm, Class: res.Class, Cost: res.Cost,
 		})
 	}
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
 // serveCacheHit remaps a cached assignment onto the submitted instance.
 // Cost, bound and certificate are re-derived from the remapped schedule
 // and the submitted jobs — the cache only supplies the assignment.
-func (s *Solver) serveCacheHit(e reopt.Entry, in Instance, perm []int, start time.Time) (Result, error) {
+func (s *Solver) serveCacheHit(e reopt.Entry, in Instance, perm []int) (Result, error) {
 	sch, err := reopt.RemapAssignment(e, in, perm)
 	if err != nil {
 		return Result{}, err
 	}
-	res := s.assembleMinBusy(sch, in, e.Class, e.Algorithm, start)
+	res := s.assembleMinBusy(sch, in, e.Class, e.Algorithm)
 	res.ID = e.ID
 	res.CacheOutcome = CacheHit
 	return res, nil
@@ -683,12 +685,12 @@ func (s *Solver) serveCacheHit(e reopt.Entry, in Instance, perm []int, start tim
 // repairs locally around the delta. The repaired schedule is cached
 // under the submission's own fingerprint, so an identical resubmission
 // upgrades to a hit.
-func (s *Solver) serveRepair(ctx context.Context, e reopt.Entry, in Instance, canon []reopt.CanonJob, perm []int, fp string, transitionBudget int, start time.Time) (Result, bool) {
+func (s *Solver) serveRepair(ctx context.Context, e reopt.Entry, in Instance, canon []reopt.CanonJob, perm []int, fp string, transitionBudget int) (Result, bool) {
 	rep, err := reopt.Repair(ctx, e, in, canon, perm, transitionBudget)
 	if err != nil {
 		return Result{}, false
 	}
-	res := s.assembleMinBusy(rep.Schedule, in, igraph.Classify(in.Jobs), "reopt-repair", start)
+	res := s.assembleMinBusy(rep.Schedule, in, igraph.Classify(in.Jobs), "reopt-repair")
 	res.BaseID = e.ID
 	res.Transition = rep.Transition
 	res.CacheOutcome = CacheRepair
@@ -698,13 +700,12 @@ func (s *Solver) serveRepair(ctx context.Context, e reopt.Entry, in Instance, ca
 			Algorithm: res.Algorithm, Class: res.Class, Cost: res.Cost,
 		})
 	}
-	res.Elapsed = time.Since(start)
 	return res, true
 }
 
 // assembleMinBusy builds a KindMinBusy Result around a total schedule of
 // the submitted instance.
-func (s *Solver) assembleMinBusy(sch Schedule, in Instance, class Class, algorithm string, start time.Time) Result {
+func (s *Solver) assembleMinBusy(sch Schedule, in Instance, class Class, algorithm string) Result {
 	cost := sch.Cost()
 	lb := in.LowerBound()
 	return Result{
@@ -718,7 +719,6 @@ func (s *Solver) assembleMinBusy(sch Schedule, in Instance, class Class, algorit
 		Machines:     sch.Machines(),
 		LowerBound:   lb,
 		RatioVsBound: stats.Ratio(cost, lb),
-		Elapsed:      time.Since(start),
 	}
 }
 
@@ -734,7 +734,7 @@ func (s *Solver) solveMinBusy(ctx context.Context, in Instance, class Class) (Sc
 		return sch, alg.Name, err
 	}
 	if s.exactThreshold > 0 && len(in.Jobs) <= s.exactThreshold {
-		sch, err := exact.MinBusyCtx(ctx, in)
+		sch, err := exact.MinBusy(ctx, in)
 		return sch, "exact", err
 	}
 
@@ -795,7 +795,7 @@ func (s *Solver) solveThroughput(ctx context.Context, in Instance, budget int64,
 		return sch, alg.Name, err
 	}
 	if s.exactThreshold > 0 && len(in.Jobs) <= s.exactThreshold {
-		sch, err := exact.MaxThroughputCtx(ctx, in, budget)
+		sch, err := exact.MaxThroughput(ctx, in, budget)
 		return sch, "exact-throughput", err
 	}
 	for _, alg := range registry.ForAll(registry.MaxThroughput, class) {
@@ -853,7 +853,7 @@ func (s *Solver) solveOnline(ctx context.Context, in Instance, budget int64) (on
 	return res, alg.Name, budgetApplied, err
 }
 
-func (s *Solver) solveRect(ctx context.Context, req Request, start time.Time) (Result, error) {
+func (s *Solver) solveRect(ctx context.Context, req Request) (Result, error) {
 	in := *req.Rect
 	if err := in.Validate(); err != nil {
 		return Result{}, err
@@ -884,6 +884,5 @@ func (s *Solver) solveRect(ctx context.Context, req Request, start time.Time) (R
 		Machines:     sch.Machines(),
 		LowerBound:   lb,
 		RatioVsBound: stats.Ratio(cost, lb),
-		Elapsed:      time.Since(start),
 	}, nil
 }
