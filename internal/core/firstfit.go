@@ -17,7 +17,7 @@ func FirstFit(in job.Instance) Schedule {
 	s := NewSchedule(in)
 	var machines [][]*itree.Set
 
-	for _, p := range byLenDescOrder(in.Jobs) {
+	for _, p := range job.ByLenDesc(in.Jobs) {
 		iv := in.Jobs[p].Interval
 		placed := false
 		for m := 0; m < len(machines) && !placed; m++ {

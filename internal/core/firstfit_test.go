@@ -28,7 +28,7 @@ func firstFitReference(in job.Instance) Schedule {
 		return true
 	}
 
-	for _, p := range byLenDescOrder(in.Jobs) {
+	for _, p := range job.ByLenDesc(in.Jobs) {
 		placed := false
 		for m := 0; m < len(machines) && !placed; m++ {
 			for t := 0; t < len(machines[m]) && !placed; t++ {

@@ -33,7 +33,7 @@ func OneSidedGreedy(in job.Instance) (Schedule, error) {
 		return Schedule{}, fmt.Errorf("core: OneSidedGreedy requires a one-sided clique instance")
 	}
 	s := NewSchedule(in)
-	for k, p := range byLenDescOrder(in.Jobs) {
+	for k, p := range job.ByLenDesc(in.Jobs) {
 		s.Assign(p, k/in.G)
 	}
 	return s, nil
@@ -248,7 +248,7 @@ func SingleCut(in job.Instance) (Schedule, error) {
 	if !igraph.IsProper(in.Jobs) {
 		return Schedule{}, fmt.Errorf("core: SingleCut requires a proper instance")
 	}
-	order := byStartOrder(in.Jobs)
+	order := job.ByStart(in.Jobs)
 	s := NewSchedule(in)
 	for k, p := range order {
 		s.Assign(p, k/in.G)
@@ -273,7 +273,7 @@ func BestCut(in job.Instance) (Schedule, error) {
 	if n == 0 {
 		return NewSchedule(in), nil
 	}
-	order := byStartOrder(in.Jobs)
+	order := job.ByStart(in.Jobs)
 
 	best := Schedule{}
 	var bestCost int64 = math.MaxInt64
@@ -317,7 +317,7 @@ func FindBestConsecutive(in job.Instance) (Schedule, error) {
 	if n == 0 {
 		return NewSchedule(in), nil
 	}
-	order := byStartOrder(in.Jobs)
+	order := job.ByStart(in.Jobs)
 	start := func(k int) int64 { return in.Jobs[order[k]].Start() }
 	end := func(k int) int64 { return in.Jobs[order[k]].End() }
 

@@ -19,7 +19,7 @@ func greedyThroughputReference(in job.Instance, budget int64) Schedule {
 	if budget <= 0 {
 		return s
 	}
-	order := byLenDescOrder(in.Jobs)
+	order := job.ByLenDesc(in.Jobs)
 	reverseInts(order) // shortest first
 
 	var machines [][][]int // machines[m][t] = job positions on thread t

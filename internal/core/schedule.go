@@ -17,7 +17,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/interval"
 	"repro/internal/job"
@@ -184,34 +183,4 @@ func scheduleFromGroups(in job.Instance, groups [][]int) Schedule {
 		}
 	}
 	return s
-}
-
-// byStartOrder returns job positions sorted by (start, end, position) —
-// the canonical J1 <= J2 <= … order of the paper for proper instances.
-func byStartOrder(jobs []job.Job) []int {
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ja, jb := jobs[order[a]], jobs[order[b]]
-		if ja.Start() != jb.Start() {
-			return ja.Start() < jb.Start()
-		}
-		return ja.End() < jb.End()
-	})
-	return order
-}
-
-// byLenDescOrder returns job positions sorted by non-increasing length,
-// ties by position, as used by FirstFit and the one-sided greedy.
-func byLenDescOrder(jobs []job.Job) []int {
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return jobs[order[a]].Len() > jobs[order[b]].Len()
-	})
-	return order
 }

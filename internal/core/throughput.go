@@ -20,7 +20,7 @@ func OneSidedThroughput(in job.Instance, budget int64) (Schedule, error) {
 	}
 	n := len(in.Jobs)
 	// Shortest first.
-	asc := byLenDescOrder(in.Jobs)
+	asc := job.ByLenDesc(in.Jobs)
 	reverseInts(asc)
 
 	// prefixCost[j] = optimal cost of scheduling the j shortest jobs: group
@@ -219,7 +219,7 @@ func MostThroughputConsecutive(in job.Instance, budget int64) (Schedule, error) 
 	if n == 0 || budget < 0 {
 		return s, nil
 	}
-	order := byStartOrder(in.Jobs)
+	order := job.ByStart(in.Jobs)
 	start := func(k int) int64 { return in.Jobs[order[k]].Start() }
 	end := func(k int) int64 { return in.Jobs[order[k]].End() }
 
@@ -306,7 +306,7 @@ func MostWeightConsecutive(in job.Instance, budget int64) (Schedule, error) {
 	if n == 0 || budget < 0 {
 		return s, nil
 	}
-	order := byStartOrder(in.Jobs)
+	order := job.ByStart(in.Jobs)
 	start := func(k int) int64 { return in.Jobs[order[k]].Start() }
 	end := func(k int) int64 { return in.Jobs[order[k]].End() }
 	weight := func(k int) int64 { return in.Jobs[order[k]].Weight }
@@ -444,7 +444,7 @@ func OneSidedWeightThroughput(in job.Instance, budget int64) (Schedule, error) {
 	if n == 0 || budget < 0 {
 		return s, nil
 	}
-	order := byLenDescOrder(in.Jobs)
+	order := job.ByLenDesc(in.Jobs)
 
 	type state struct {
 		cost, weight int64
@@ -555,7 +555,7 @@ func GreedyThroughput(in job.Instance, budget int64) Schedule {
 	if budget <= 0 {
 		return s
 	}
-	order := byLenDescOrder(in.Jobs)
+	order := job.ByLenDesc(in.Jobs)
 	reverseInts(order) // shortest first
 
 	packer := ThreadPacker{G: in.G}

@@ -41,14 +41,7 @@ func LowerBound(in job.Instance) int64 {
 // generalizes the paper's FirstFit: with unit demands it coincides with
 // core.FirstFit up to tie-breaking.
 func FirstFit(in job.Instance) core.Schedule {
-	order := make([]int, len(in.Jobs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return in.Jobs[order[a]].Len() > in.Jobs[order[b]].Len()
-	})
-	return firstFitInOrder(in, order)
+	return firstFitInOrder(in, job.ByLenDesc(in.Jobs))
 }
 
 // FirstFitByDemand is FirstFit with jobs ordered by non-increasing demand

@@ -3,10 +3,13 @@ package exact
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/interval"
 	"repro/internal/job"
 )
 
@@ -267,5 +270,63 @@ func TestCtxCancellation(t *testing.T) {
 	}
 	if s.Throughput() != 16 {
 		t.Errorf("scheduled %d/16", s.Throughput())
+	}
+}
+
+// subsetTablesReference is the per-mask computation subsetTables
+// replaced, with no shared sweep: each mask's members gathered afresh,
+// interval.Span (a union merge) for the span, and for the peak demand
+// the largest sum of demands running at one member's start, where a
+// peak is always reached.
+func subsetTablesReference(in job.Instance) (spanOf []int64, validQ []bool) {
+	size := 1 << len(in.Jobs)
+	spanOf = make([]int64, size)
+	validQ = make([]bool, size)
+	for mask := 1; mask < size; mask++ {
+		var members []job.Job
+		for m := mask; m != 0; m &= m - 1 {
+			members = append(members, in.Jobs[bits.TrailingZeros(uint(m))])
+		}
+		var ivs []interval.Interval
+		var peak int64
+		for _, a := range members {
+			ivs = append(ivs, a.Interval)
+			var load int64
+			for _, b := range members {
+				if b.Interval.ContainsTime(a.Start()) {
+					load += b.Demand
+				}
+			}
+			peak = max(peak, load)
+		}
+		spanOf[mask] = interval.Span(ivs)
+		validQ[mask] = peak <= int64(in.G)
+	}
+	return spanOf, validQ
+}
+
+// The one-event-list tables equal the per-mask reference, with demands
+// 1..g and a short horizon so that touching and shared endpoints, where
+// ends must sweep before starts, are common.
+func TestSubsetTablesMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 60; trial++ {
+		n := trial % 13
+		g := 1 + r.Intn(4)
+		jobs := make([]job.Job, n)
+		for i := range jobs {
+			s := r.Int63n(12)
+			jobs[i] = job.New(i, s, s+1+r.Int63n(8))
+			jobs[i].Demand = 1 + r.Int63n(int64(g))
+		}
+		in := job.Instance{Jobs: jobs, G: g}
+		spanOf, validQ, err := subsetTables(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSpan, wantValid := subsetTablesReference(in)
+		if !slices.Equal(spanOf, wantSpan) || !slices.Equal(validQ, wantValid) {
+			t.Fatalf("trial %d (n=%d, g=%d): tables differ from the per-mask reference", trial, n, g)
+		}
 	}
 }

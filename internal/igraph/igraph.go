@@ -13,8 +13,6 @@
 package igraph
 
 import (
-	"cmp"
-	"slices"
 	"sort"
 
 	"repro/internal/interval"
@@ -35,20 +33,12 @@ func Build(jobs []job.Job) *Graph {
 	n := len(jobs)
 	g := &Graph{jobs: append([]job.Job(nil), jobs...), adj: make([][]int, n)}
 
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return jobs[order[a]].Start() < jobs[order[b]].Start()
-	})
-
 	// active holds the jobs that may still overlap a later start. Each
 	// step keeps those that end after the current start (half-open: one
 	// ending exactly there does not overlap it) and appends the current
 	// job.
 	var active []int
-	for _, idx := range order {
+	for _, idx := range job.ByStart(jobs) {
 		cur := jobs[idx]
 		keep := active[:0]
 		for _, other := range active {
@@ -106,19 +96,12 @@ func (g *Graph) OverlapWeight(i, j int) int64 {
 // slices are disjoint, capacity-capped blocks of one array.
 func SplitComponents(in job.Instance) []job.Instance {
 	jobs := in.Jobs
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		return cmp.Or(cmp.Compare(jobs[a].Start(), jobs[b].Start()), cmp.Compare(a, b))
-	})
 
 	// run[p] is the index, in start order, of the run holding position p.
 	run := make([]int, len(jobs))
 	runs := 0
 	var reach int64 // the largest end seen so far
-	for _, p := range order {
+	for _, p := range job.ByStart(jobs) {
 		if runs == 0 || jobs[p].Start() >= reach {
 			runs++
 			reach = jobs[p].End()
@@ -160,31 +143,20 @@ func IsClique(jobs []job.Job) bool {
 	if len(jobs) == 0 {
 		return true
 	}
-	_, ok := interval.CommonTime(intervalsOf(jobs))
+	_, ok := interval.CommonTime(job.Instance{Jobs: jobs}.Intervals())
 	return ok
 }
 
 // CommonTime returns a witness time shared by all jobs of a clique set.
 func CommonTime(jobs []job.Job) (int64, bool) {
-	return interval.CommonTime(intervalsOf(jobs))
+	return interval.CommonTime(job.Instance{Jobs: jobs}.Intervals())
 }
 
 // IsProper reports whether no job's interval properly contains another's.
 // Equivalently, sorting by start also sorts by end (Property 3.1).
 func IsProper(jobs []job.Job) bool {
-	n := len(jobs)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ja, jb := jobs[order[a]], jobs[order[b]]
-		if ja.Start() != jb.Start() {
-			return ja.Start() < jb.Start()
-		}
-		return ja.End() < jb.End()
-	})
-	for k := 1; k < n; k++ {
+	order := job.ByStart(jobs)
+	for k := 1; k < len(order); k++ {
 		prev, cur := jobs[order[k-1]], jobs[order[k]]
 		// prev.Start <= cur.Start; containment iff cur.End <= prev.End and
 		// the intervals differ.
@@ -284,12 +256,4 @@ func Classify(jobs []job.Job) Class {
 	default:
 		return General
 	}
-}
-
-func intervalsOf(jobs []job.Job) []interval.Interval {
-	ivs := make([]interval.Interval, len(jobs))
-	for i, j := range jobs {
-		ivs[i] = j.Interval
-	}
-	return ivs
 }

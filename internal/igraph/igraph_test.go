@@ -254,6 +254,32 @@ func TestIsProper(t *testing.T) {
 	}
 }
 
+// Property: IsProper, which checks only neighbours in start order, agrees
+// with the definition "no job properly contains another" over all pairs.
+// A small time grid makes shared starts, shared ends and duplicates common.
+func TestPropertyIsProperMatchesDefinition(t *testing.T) {
+	f := func(seed int64, nRaw uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		jobs := make([]job.Job, int(nRaw%12))
+		for i := range jobs {
+			s := r.Int63n(8)
+			jobs[i] = job.New(i, s, s+1+r.Int63n(6))
+		}
+		proper := true
+		for _, a := range jobs {
+			for _, b := range jobs {
+				if a.Interval.ProperlyContains(b.Interval) {
+					proper = false
+				}
+			}
+		}
+		return IsProper(jobs) == proper
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestOneSidedness(t *testing.T) {
 	if OneSidedness(inst([2]int64{0, 5}, [2]int64{0, 9})) != SharedStart {
 		t.Error("shared start not detected")

@@ -13,7 +13,9 @@
 package interval
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -201,33 +203,8 @@ func CommonTime(ivs []Interval) (int64, bool) {
 // simultaneously active at any time. It is the quantity a capacity-g
 // machine bounds by g. Runs in O(n log n) by an event sweep.
 func MaxConcurrency(ivs []Interval) int {
-	type event struct {
-		t     int64
-		delta int
-	}
-	events := make([]event, 0, 2*len(ivs))
-	for _, iv := range ivs {
-		if iv.Empty() {
-			continue
-		}
-		events = append(events, event{iv.Start, +1}, event{iv.End, -1})
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].t != events[j].t {
-			return events[i].t < events[j].t
-		}
-		// Ends sort before starts at equal times: [1,2) and [2,3) have
-		// concurrency 1.
-		return events[i].delta < events[j].delta
-	})
-	cur, best := 0, 0
-	for _, ev := range events {
-		cur += ev.delta
-		if cur > best {
-			best = cur
-		}
-	}
-	return best
+	peak, _ := Sweep(Events(ivs, nil), nil)
+	return int(peak)
 }
 
 // WeightedMaxConcurrency is MaxConcurrency with a per-interval weight
@@ -237,31 +214,60 @@ func WeightedMaxConcurrency(ivs []Interval, weights []int64) int64 {
 	if len(weights) != len(ivs) {
 		panic("interval: WeightedMaxConcurrency: len(weights) != len(ivs)")
 	}
-	type event struct {
-		t     int64
-		delta int64
-	}
-	events := make([]event, 0, 2*len(ivs))
+	peak, _ := Sweep(Events(ivs, weights), nil)
+	return peak
+}
+
+// Event is one end of an interval in a load sweep: at time T the load
+// changes by Delta, the interval's weight at its start and minus it at
+// its end. Index is the interval's position in the slice Events read.
+type Event struct {
+	T, Delta int64
+	Index    int
+}
+
+// Events returns the start and end events of the non-empty intervals of
+// ivs in sweep order: by time, and at equal times by Delta, so every end
+// comes before every start and [1,2), [2,3) are never active together.
+// weights[i] is the weight of ivs[i]; nil weights are all 1.
+func Events(ivs []Interval, weights []int64) []Event {
+	events := make([]Event, 0, 2*len(ivs))
 	for i, iv := range ivs {
 		if iv.Empty() {
 			continue
 		}
-		events = append(events, event{iv.Start, weights[i]}, event{iv.End, -weights[i]})
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].t != events[j].t {
-			return events[i].t < events[j].t
+		w := int64(1)
+		if weights != nil {
+			w = weights[i]
 		}
-		return events[i].delta < events[j].delta
+		events = append(events, Event{iv.Start, w, i}, Event{iv.End, -w, i})
+	}
+	slices.SortFunc(events, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.Delta, b.Delta))
 	})
-	var cur, best int64
+	return events
+}
+
+// Sweep passes once over events in the order Events returns them,
+// skipping the events of every interval keep rejects (nil keeps all). It
+// returns the peak load and the measure of the time the load is
+// positive, which for positive weights is the span of the kept
+// intervals. A sorted event list is reusable: one Events call serves a
+// Sweep per subset of the intervals.
+func Sweep(events []Event, keep func(i int) bool) (peak, span int64) {
+	var load, prev int64
 	for _, ev := range events {
-		cur += ev.delta
-		if cur > best {
-			best = cur
+		if keep != nil && !keep(ev.Index) {
+			continue
 		}
+		if load > 0 {
+			span += ev.T - prev
+		}
+		prev = ev.T
+		load += ev.Delta
+		peak = max(peak, load)
 	}
-	return best
+	return peak, span
 }
 
 func min64(a, b int64) int64 {

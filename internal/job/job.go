@@ -9,10 +9,11 @@
 package job
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/interval"
 	"repro/internal/rect"
@@ -134,19 +135,46 @@ func (in Instance) Clone() Instance {
 	return Instance{Jobs: jobs, G: in.G}
 }
 
-// SortedByStart returns a copy of the instance with jobs ordered by
-// non-decreasing start time, ties by non-decreasing end time. For proper
-// instances this is exactly the paper's canonical order J1 <= J2 <= ... <= Jn.
+// SortedByStart returns a copy of the instance with its jobs in ByStart
+// order.
 func (in Instance) SortedByStart() Instance {
-	out := in.Clone()
-	sort.SliceStable(out.Jobs, func(a, b int) bool {
-		ja, jb := out.Jobs[a], out.Jobs[b]
-		if ja.Start() != jb.Start() {
-			return ja.Start() < jb.Start()
-		}
-		return ja.End() < jb.End()
-	})
+	out := Instance{Jobs: make([]Job, len(in.Jobs)), G: in.G}
+	for k, p := range ByStart(in.Jobs) {
+		out.Jobs[k] = in.Jobs[p]
+	}
 	return out
+}
+
+// ByStart returns the positions of jobs in the paper's order
+// J1 <= J2 <= ... <= Jn: by start, then end, then position. By Property
+// 3.1 an instance is proper exactly when this order also sorts its jobs
+// by end. Every algorithm that walks jobs by start uses this order.
+func ByStart(jobs []Job) []int {
+	order := positions(len(jobs))
+	slices.SortFunc(order, func(a, b int) int {
+		ja, jb := jobs[a].Interval, jobs[b].Interval
+		return cmp.Or(cmp.Compare(ja.Start, jb.Start), cmp.Compare(ja.End, jb.End), cmp.Compare(a, b))
+	})
+	return order
+}
+
+// ByLenDesc returns the positions of jobs by non-increasing length, then
+// position: the order in which the paper's FirstFit places jobs.
+func ByLenDesc(jobs []Job) []int {
+	order := positions(len(jobs))
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(jobs[b].Len(), jobs[a].Len()), cmp.Compare(a, b))
+	})
+	return order
+}
+
+// positions returns 0, 1, ..., n-1.
+func positions(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
 }
 
 // jsonInstance is the stable on-disk representation used by cmd/busysim.

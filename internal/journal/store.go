@@ -75,6 +75,14 @@ func (s *MemStore) Append(session string, recs []Record) error {
 	if err := checkOwnership(session, recs); err != nil {
 		return err
 	}
+	s.add(session, recs)
+	return nil
+}
+
+// add files recs at the end of session's records, applying retention,
+// without checking that they belong to it: Append checks first, and
+// FileStore's index takes only what its own log holds.
+func (s *MemStore) add(session string, recs []Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.sessions[session]; !ok {
@@ -100,7 +108,6 @@ func (s *MemStore) Append(session string, recs []Record) error {
 			}
 		}
 	}
-	return nil
 }
 
 // Read implements Store.
@@ -147,9 +154,11 @@ type FileStore struct {
 	size int64
 	// stuck is set when a failed append could not be cut back: the log
 	// may end in bytes nobody acknowledged, so nothing may follow them.
-	stuck    error
-	sessions map[string][]Record
-	ids      []string // first-append order; sorted on listing
+	stuck error
+	// index holds every acknowledged record and serves Read and
+	// Sessions. Its lock nests inside mu, never the reverse. It keeps
+	// every session: retention is off.
+	index *MemStore
 }
 
 // logFile is what FileStore calls on its log file; *os.File is the
@@ -169,7 +178,7 @@ func OpenFileStore(path string) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: opening store: %w", err)
 	}
-	st := &FileStore{f: f, sessions: map[string][]Record{}}
+	st := &FileStore{f: f, index: NewMemStore()}
 	if err := st.load(); err != nil {
 		// Nothing has been written through this descriptor; the load
 		// error is the one the caller needs.
@@ -201,10 +210,7 @@ func (s *FileStore) load() error {
 			}
 			return fmt.Errorf("journal: store corrupted at byte %d: %v", keep, err)
 		}
-		if _, ok := s.sessions[recs[0].Session]; !ok {
-			s.ids = append(s.ids, recs[0].Session)
-		}
-		s.sessions[recs[0].Session] = append(s.sessions[recs[0].Session], recs[0])
+		s.index.add(recs[0].Session, recs)
 		keep += nl + 1
 	}
 	if keep != len(data) {
@@ -244,10 +250,7 @@ func (s *FileStore) Append(session string, recs []Record) error {
 		return s.cutBack(fmt.Errorf("journal: syncing: %w", err))
 	}
 	s.size = safemath.SatAdd(s.size, int64(buf.Len()))
-	if _, ok := s.sessions[session]; !ok {
-		s.ids = append(s.ids, session)
-	}
-	s.sessions[session] = append(s.sessions[session], recs...)
+	s.index.add(session, recs)
 	return nil
 }
 
@@ -264,27 +267,10 @@ func (s *FileStore) cutBack(err error) error {
 }
 
 // Read implements Store.
-func (s *FileStore) Read(session string) ([]Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	recs, ok := s.sessions[session]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSession, session)
-	}
-	out := make([]Record, len(recs))
-	copy(out, recs)
-	return out, nil
-}
+func (s *FileStore) Read(session string) ([]Record, error) { return s.index.Read(session) }
 
 // Sessions implements Store.
-func (s *FileStore) Sessions() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.ids))
-	copy(out, s.ids)
-	sort.Strings(out)
-	return out, nil
-}
+func (s *FileStore) Sessions() ([]string, error) { return s.index.Sessions() }
 
 // Close implements Store.
 func (s *FileStore) Close() error {

@@ -26,7 +26,6 @@ package online
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/interval"
@@ -188,7 +187,7 @@ func Replay(in job.Instance, st Strategy) (Result, error) {
 	}
 	sim := newSimulator(in.G)
 	s := core.NewSchedule(in)
-	for _, p := range arrivalOrder(in.Jobs) {
+	for _, p := range job.ByStart(in.Jobs) {
 		sim.advance(in.Jobs[p].Start())
 		pl, err := sim.place(in.Jobs[p], st)
 		if err != nil {
@@ -294,21 +293,4 @@ func (sim *simulator) result(s core.Schedule, name string) Result {
 		AdmittedWeight: sim.admittedWeight,
 		RejectedWeight: sim.rejectedWeight,
 	}
-}
-
-// arrivalOrder returns job positions sorted by (start, end, position): the
-// order in which an online scheduler observes the jobs.
-func arrivalOrder(jobs []job.Job) []int {
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ja, jb := jobs[order[a]], jobs[order[b]]
-		if ja.Start() != jb.Start() {
-			return ja.Start() < jb.Start()
-		}
-		return ja.End() < jb.End()
-	})
-	return order
 }

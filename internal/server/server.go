@@ -223,8 +223,7 @@ func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
 	n := s.metrics.inFlight.Add(1)
 	if s.cfg.MaxInFlight > 0 && n > int64(s.cfg.MaxInFlight) {
 		s.metrics.inFlight.Add(-1)
-		s.metrics.rejectedOverload.Add(1)
-		httpError(w, http.StatusTooManyRequests,
+		s.refuse(w, http.StatusTooManyRequests,
 			fmt.Errorf("server: %d requests in flight exceeds limit %d", n, s.cfg.MaxInFlight))
 		return nil, false
 	}
@@ -234,7 +233,7 @@ func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requestsSolve.Add(1)
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("server: POST only"))
+		s.refuse(w, http.StatusMethodNotAllowed, errors.New("server: POST only"))
 		return
 	}
 	release, ok := s.admit(w)
@@ -253,8 +252,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	solverReq, err := req.ToSolverRequest()
 	if err != nil {
-		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		s.refuse(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -301,7 +299,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requestsBatch.Add(1)
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("server: POST only"))
+		s.refuse(w, http.StatusMethodNotAllowed, errors.New("server: POST only"))
 		return
 	}
 	release, ok := s.admit(w)
@@ -316,15 +314,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cfg.MaxBatch > 0 && len(batch.Requests) > s.cfg.MaxBatch {
-		s.metrics.rejectedTooLarge.Add(1)
-		httpError(w, http.StatusRequestEntityTooLarge,
+		s.refuse(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("server: batch of %d requests exceeds limit %d", len(batch.Requests), s.cfg.MaxBatch))
 		return
 	}
 	solver, err := s.solverFor(batch.Algorithm)
 	if err != nil {
-		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		s.refuse(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -424,7 +420,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requestsAlgorithms.Add(1)
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("server: GET only"))
+		s.refuse(w, http.StatusMethodNotAllowed, errors.New("server: GET only"))
 		return
 	}
 	writeJSON(w, http.StatusOK, WireAlgorithms())
@@ -466,20 +462,17 @@ func (s *Server) decoded(w http.ResponseWriter, err error) bool {
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		s.metrics.rejectedTooLarge.Add(1)
-		httpError(w, http.StatusRequestEntityTooLarge, err)
+		s.refuse(w, http.StatusRequestEntityTooLarge, err)
 		return false
 	}
-	s.metrics.badRequests.Add(1)
-	httpError(w, http.StatusBadRequest, fmt.Errorf("server: decoding request: %v", err))
+	s.refuse(w, http.StatusBadRequest, fmt.Errorf("server: decoding request: %v", err))
 	return false
 }
 
 // tooLarge applies the per-instance size cap, writing the 413 itself.
 func (s *Server) tooLarge(w http.ResponseWriter, jobs int) bool {
 	if s.cfg.MaxJobs > 0 && jobs > s.cfg.MaxJobs {
-		s.metrics.rejectedTooLarge.Add(1)
-		httpError(w, http.StatusRequestEntityTooLarge,
+		s.refuse(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("server: instance of %d jobs exceeds limit %d", jobs, s.cfg.MaxJobs))
 		return true
 	}
@@ -494,6 +487,19 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = enc.Encode(v)
 }
 
-func httpError(w http.ResponseWriter, status int, err error) {
+// refuse writes the error reply of a refused request and counts it
+// under the reason its status names: 400 bad_request, 413 too_large and
+// 429 overload. Other statuses (405, 404, 409, 500) count under none.
+// Per-item batch errors and in-stream error events are not refusals and
+// are counted where they arise.
+func (s *Server) refuse(w http.ResponseWriter, status int, err error) {
+	switch status {
+	case http.StatusBadRequest:
+		s.metrics.badRequests.Add(1)
+	case http.StatusRequestEntityTooLarge:
+		s.metrics.rejectedTooLarge.Add(1)
+	case http.StatusTooManyRequests:
+		s.metrics.rejectedOverload.Add(1)
+	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

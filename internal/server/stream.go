@@ -61,7 +61,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// unread, which net/http would parse as the next request.
 	w.Header().Set("Connection", "close")
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("server: POST only"))
+		s.refuse(w, http.StatusMethodNotAllowed, errors.New("server: POST only"))
 		return
 	}
 	release, ok := s.admit(w)
@@ -92,17 +92,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if resumeID := r.URL.Query().Get("resume"); resumeID != "" {
 		state, from, status, err := s.resumeStreamSession(resumeID, r.URL.Query().Get("seq"))
 		if err != nil {
-			if status == http.StatusBadRequest {
-				s.metrics.badRequests.Add(1)
-			}
-			httpError(w, status, err)
+			s.refuse(w, status, err)
 			return
 		}
 		sess, alg, resumed = state.Session, state.Params.Strategy, true
 		jw, err = journal.ResumeWriter(s.cfg.Journal, state)
 		if err != nil {
 			s.releaseSession(resumeID)
-			httpError(w, http.StatusConflict, err)
+			s.refuse(w, http.StatusConflict, err)
 			return
 		}
 		for _, rec := range state.Records {
@@ -114,18 +111,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	} else {
 		var open StreamOpen
 		if err := dec.Decode(&open); err != nil {
-			s.metrics.badRequests.Add(1)
-			httpError(w, http.StatusBadRequest, fmt.Errorf("server: decoding stream header: %v", err))
+			s.refuse(w, http.StatusBadRequest, fmt.Errorf("server: decoding stream header: %v", err))
 			return
 		}
 		var status int
 		var err error
 		sess, jw, alg, status, err = s.openStreamSession(open)
 		if err != nil {
-			if status == http.StatusBadRequest {
-				s.metrics.badRequests.Add(1)
-			}
-			httpError(w, status, err)
+			s.refuse(w, status, err)
 			return
 		}
 	}
@@ -489,22 +482,21 @@ func (s *Server) resumeStreamSession(session, seqStr string) (*journal.ReplaySta
 func (s *Server) handleStreamJournal(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requestsJournal.Add(1)
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("server: GET only"))
+		s.refuse(w, http.StatusMethodNotAllowed, errors.New("server: GET only"))
 		return
 	}
 	session := r.URL.Query().Get("session")
 	if !journal.ValidSessionID(session) {
-		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, fmt.Errorf("server: invalid session id %q", session))
+		s.refuse(w, http.StatusBadRequest, fmt.Errorf("server: invalid session id %q", session))
 		return
 	}
 	recs, err := s.cfg.Journal.Read(session)
 	if err != nil {
 		if errors.Is(err, journal.ErrUnknownSession) {
-			httpError(w, http.StatusNotFound, fmt.Errorf("server: no journal for session %s", session))
+			s.refuse(w, http.StatusNotFound, fmt.Errorf("server: no journal for session %s", session))
 			return
 		}
-		httpError(w, http.StatusInternalServerError, err)
+		s.refuse(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -164,7 +164,7 @@ func stageNodes(arrivals int, totals [len(streamStages)]int64) []*trace.Node {
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requestsTraces.Add(1)
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("server: GET only"))
+		s.refuse(w, http.StatusMethodNotAllowed, errors.New("server: GET only"))
 		return
 	}
 	q := r.URL.Query()
@@ -172,8 +172,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("min_ms"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f < 0 {
-			s.metrics.badRequests.Add(1)
-			httpError(w, http.StatusBadRequest, errors.New("server: min_ms must be a non-negative number"))
+			s.refuse(w, http.StatusBadRequest, errors.New("server: min_ms must be a non-negative number"))
 			return
 		}
 		minMS = f
@@ -182,8 +181,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			s.metrics.badRequests.Add(1)
-			httpError(w, http.StatusBadRequest, errors.New("server: limit must be a non-negative integer"))
+			s.refuse(w, http.StatusBadRequest, errors.New("server: limit must be a non-negative integer"))
 			return
 		}
 		limit = n
