@@ -20,9 +20,13 @@ type CostBounds struct {
 }
 
 // BoundsOf computes the Observation 2.1 bounds of an instance.
-func BoundsOf(in job.Instance) CostBounds {
+func BoundsOf(in job.Instance) CostBounds { return BoundsByStart(in, job.ByStart(in.Jobs)) }
+
+// BoundsByStart is BoundsOf for a caller that holds ByStart(in.Jobs): it
+// takes the span from that order and sorts nothing.
+func BoundsByStart(in job.Instance, order []int) CostBounds {
 	return CostBounds{
-		Span:             in.Span(),
+		Span:             job.SpanByStart(in.Jobs, order),
 		ParallelismBound: in.ParallelismBound(),
 		Length:           in.TotalLen(),
 	}

@@ -266,40 +266,37 @@ func SingleCut(in job.Instance) (Schedule, error) {
 // schedule produced is valid on any proper instance. It returns an error
 // when the instance is not proper.
 func BestCut(in job.Instance) (Schedule, error) {
-	if !igraph.IsProper(in.Jobs) {
+	order := job.ByStart(in.Jobs)
+	if !igraph.IsProperByStart(in.Jobs, order) {
 		return Schedule{}, fmt.Errorf("core: BestCut requires a proper instance")
 	}
 	n := len(in.Jobs)
 	if n == 0 {
 		return NewSchedule(in), nil
 	}
-	order := job.ByStart(in.Jobs)
 
-	best := Schedule{}
-	var bestCost int64 = math.MaxInt64
-	for i := 1; i <= in.G; i++ {
-		s := NewSchedule(in)
-		machine := 0
-		// First group: jobs order[0..i).
-		for k := 0; k < i && k < n; k++ {
-			s.Assign(order[k], machine)
-		}
-		machine++
+	// Cut i puts order[0..i) on the first machine and each next g jobs on
+	// one more. A machine's jobs are a run of the start order, so its
+	// busy time is the span of that run, and each cut is priced in one
+	// pass; only the cheapest (the first, on ties) becomes a schedule.
+	cutCost := func(i int) int64 {
+		c := job.SpanByStart(in.Jobs, order[:min(i, n)])
 		for lo := i; lo < n; lo += in.G {
-			hi := lo + in.G
-			if hi > n {
-				hi = n
-			}
-			for k := lo; k < hi; k++ {
-				s.Assign(order[k], machine)
-			}
-			machine++
+			c += job.SpanByStart(in.Jobs, order[lo:min(lo+in.G, n)])
 		}
-		if c := s.Cost(); c < bestCost {
-			best, bestCost = s, c
+		return c
+	}
+	best, bestCost := 1, cutCost(1)
+	for i := 2; i <= in.G; i++ {
+		if c := cutCost(i); c < bestCost {
+			best, bestCost = i, c
 		}
 	}
-	return best, nil
+	s := NewSchedule(in)
+	for k, p := range order {
+		s.Assign(p, (k+in.G-best)/in.G)
+	}
+	return s, nil
 }
 
 // FindBestConsecutive solves proper clique instances of MinBusy optimally

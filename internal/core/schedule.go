@@ -17,8 +17,9 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
-	"repro/internal/interval"
 	"repro/internal/job"
 )
 
@@ -67,14 +68,33 @@ func (s Schedule) MachineJobs() map[int][]int {
 // whose jobs form disconnected busy periods are charged only for busy
 // measure, matching the paper's convention that such a machine can be
 // split into contiguous-busy machines at no cost change.
-func (s Schedule) Cost() int64 {
+func (s Schedule) Cost() int64 { return s.CostByStart(job.ByStart(s.Instance.Jobs)) }
+
+// CostByStart is Cost for a caller that holds ByStart(s.Instance.Jobs):
+// one pass over that order. Each machine's jobs come up in start order,
+// so it only keeps, per machine, the end of its current busy period.
+func (s Schedule) CostByStart(order []int) int64 {
+	jobs := s.Instance.Jobs
+	slot, k, _ := slotsOf(s.Machine)
+	end := make([]int64, k)
+	for c := range end {
+		end[c] = math.MinInt64
+	}
 	var total int64
-	for _, positions := range s.MachineJobs() {
-		ivs := make([]interval.Interval, len(positions))
-		for k, p := range positions {
-			ivs[k] = s.Instance.Jobs[p].Interval
+	for _, p := range order {
+		if p >= len(slot) {
+			continue // a truncated machine array leaves the rest unscheduled
 		}
-		total += interval.Span(ivs)
+		c, iv := slot[p], jobs[p].Interval
+		switch {
+		case c == Unscheduled || iv.Empty():
+		case iv.Start >= end[c]:
+			total += iv.Len()
+			end[c] = iv.End
+		case iv.End > end[c]:
+			total += iv.End - end[c]
+			end[c] = iv.End
+		}
 	}
 	return total
 }
@@ -103,7 +123,18 @@ func (s Schedule) WeightedThroughput() int64 {
 }
 
 // Machines returns the number of distinct machines used.
-func (s Schedule) Machines() int { return len(s.MachineJobs()) }
+func (s Schedule) Machines() int {
+	slot, k, _ := slotsOf(s.Machine)
+	used := make([]bool, k)
+	count := 0
+	for _, c := range slot {
+		if c != Unscheduled && !used[c] {
+			used[c] = true
+			count++
+		}
+	}
+	return count
+}
 
 // Saving returns sav(s) = len(scheduled jobs) − cost(s), the paper's saving
 // relative to the one-job-per-machine schedule (Section 2).
@@ -122,7 +153,11 @@ func (s Schedule) Saving() int64 {
 // jobs simultaneously (counting demands when jobs carry them). Of several
 // overloaded machines it reports the lowest-numbered, so the same
 // schedule always gives the same error.
-func (s Schedule) Validate() error {
+func (s Schedule) Validate() error { return s.ValidateByStart(job.ByStart(s.Instance.Jobs)) }
+
+// ValidateByStart is Validate for a caller that holds
+// ByStart(s.Instance.Jobs): the load check is one pass over that order.
+func (s Schedule) ValidateByStart(order []int) error {
 	if len(s.Machine) != len(s.Instance.Jobs) {
 		return fmt.Errorf("core: schedule covers %d jobs, instance has %d", len(s.Machine), len(s.Instance.Jobs))
 	}
@@ -131,45 +166,145 @@ func (s Schedule) Validate() error {
 			return fmt.Errorf("core: job position %d on invalid machine %d", i, m)
 		}
 	}
-	bad, badLoad := -1, int64(0)
-	for m, positions := range s.MachineJobs() {
-		if bad >= 0 && m > bad {
-			continue
+	slot, k, labels := slotsOf(s.Machine)
+	for c, load := range peakLoads(s.Instance.Jobs, order, slot, k) {
+		if load > int64(s.Instance.G) {
+			bad := c
+			if labels != nil {
+				bad = labels[c]
+			}
+			return fmt.Errorf("core: machine %d carries load %d > g = %d", bad, load, s.Instance.G)
 		}
-		ivs := make([]interval.Interval, len(positions))
-		demands := make([]int64, len(positions))
-		for k, p := range positions {
-			ivs[k] = s.Instance.Jobs[p].Interval
-			demands[k] = s.Instance.Jobs[p].Demand
-		}
-		if load := interval.WeightedMaxConcurrency(ivs, demands); load > int64(s.Instance.G) {
-			bad, badLoad = m, load
-		}
-	}
-	if bad >= 0 {
-		return fmt.Errorf("core: machine %d carries load %d > g = %d", bad, badLoad, s.Instance.G)
 	}
 	return nil
+}
+
+// peakLoads returns the peak load of each of k machines, slot[p] being
+// the machine of job position p: one pass over the jobs in ByStart
+// order with a min-heap of the running jobs' ends and demands. Every
+// running job that ends by a start leaves its machine before that job
+// joins, so [1,2) and [2,3) never count together, and a machine's load
+// right after a job joins is a candidate peak. For non-negative demands,
+// the only ones Instance.Validate admits, these are the peaks
+// interval.Sweep finds.
+func peakLoads(jobs []job.Job, order, slot []int, k int) []int64 {
+	load := make([]int64, k)
+	peak := make([]int64, k)
+	var running endHeap
+	for _, p := range order {
+		c, j := slot[p], jobs[p]
+		if c == Unscheduled || j.Interval.Empty() {
+			continue
+		}
+		for len(running) > 0 && running[0].end <= j.Start() {
+			r := running.pop()
+			load[r.slot] -= r.demand
+		}
+		load[c] += j.Demand
+		peak[c] = max(peak[c], load[c])
+		running.push(runningJob{end: j.End(), demand: j.Demand, slot: c})
+	}
+	return peak
+}
+
+// runningJob is a started job in peakLoads' heap.
+type runningJob struct {
+	end, demand int64
+	slot        int
+}
+
+// endHeap is a binary min-heap of running jobs by end.
+type endHeap []runningJob
+
+func (h *endHeap) push(r runningJob) {
+	*h = append(*h, r)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		up := (i - 1) / 2
+		if a[up].end <= a[i].end {
+			break
+		}
+		a[up], a[i] = a[i], a[up]
+		i = up
+	}
+}
+
+func (h *endHeap) pop() runningJob {
+	a := *h
+	top, last := a[0], len(a)-1
+	a[0] = a[last]
+	a = a[:last]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < last && a[l].end < a[least].end {
+			least = l
+		}
+		if r < last && a[r].end < a[least].end {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		a[i], a[least] = a[least], a[i]
+		i = least
+	}
+	*h = a
+	return top
 }
 
 // CompactMachines renumbers machines to 0..k−1 in order of first use,
 // producing a canonical labeling for output and comparison.
 func (s Schedule) CompactMachines() Schedule {
+	slot, k, _ := slotsOf(s.Machine)
+	renamed := make([]int, k) // 1 + the new number of a slot; 0 until used
 	out := Schedule{Instance: s.Instance, Machine: make([]int, len(s.Machine))}
 	next := 0
-	remap := map[int]int{}
-	for i, m := range s.Machine {
-		if m == Unscheduled {
+	for i, c := range slot {
+		if c == Unscheduled {
 			out.Machine[i] = Unscheduled
 			continue
 		}
-		if _, ok := remap[m]; !ok {
-			remap[m] = next
+		if renamed[c] == 0 {
 			next++
+			renamed[c] = next
 		}
-		out.Machine[i] = remap[m]
+		out.Machine[i] = renamed[c] - 1
 	}
 	return out
+}
+
+// slotsOf maps machine labels to slots in [0, k), keeping Unscheduled,
+// so that per-machine state lives in slices rather than maps. When every
+// label lies in [Unscheduled, len(machine)) the labels are the slots and
+// labels is nil. Otherwise (a label below Unscheduled or at least
+// len(machine)) the slots are the labels' ranks and labels[c] is the
+// label at slot c. Either way slots keep the labels' order.
+func slotsOf(machine []int) (slot []int, k int, labels []int) {
+	inRange := true
+	for _, m := range machine {
+		if m < Unscheduled || m >= len(machine) {
+			inRange = false
+			break
+		}
+	}
+	if inRange {
+		return machine, len(machine), nil
+	}
+	for _, m := range machine {
+		if m != Unscheduled {
+			labels = append(labels, m)
+		}
+	}
+	slices.Sort(labels)
+	labels = slices.Compact(labels)
+	slot = make([]int, len(machine))
+	for i, m := range machine {
+		slot[i] = Unscheduled
+		if m != Unscheduled {
+			slot[i], _ = slices.BinarySearch(labels, m)
+		}
+	}
+	return slot, len(labels), labels
 }
 
 // scheduleFromGroups builds a schedule assigning each group of job

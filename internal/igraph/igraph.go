@@ -85,23 +85,32 @@ func (g *Graph) OverlapWeight(i, j int) int64 {
 // Components come in order of their smallest job position, each with
 // its jobs in increasing position. MinBusy decomposes over components
 // (Section 2), so solvers split instances along this partition.
+func SplitComponents(in job.Instance) []job.Instance {
+	comps, _ := SplitComponentsByStart(in, job.ByStart(in.Jobs))
+	return comps
+}
+
+// SplitComponentsByStart is SplitComponents for a caller that holds
+// ByStart(in.Jobs). It also returns each component's ByStart order, in
+// the component's own positions, so no component needs a sort.
 //
 // No edges are needed. Sorted by start, the jobs of one component form a
 // run in which every start falls before the largest end seen so far, so
-// one sweep over the start order cuts the runs: O(n log n) time for the
+// one sweep over the start order cuts the runs: O(n) time after the
 // sort and a constant number of allocations. Intervals are half-open,
 // as in Build: a job starting exactly at the largest end seen so far
 // opens a new component, so [0,10) and [10,20) stay apart. Jobs must be
 // non-empty, as Instance.Validate requires. The sub-instances' job
-// slices are disjoint, capacity-capped blocks of one array.
-func SplitComponents(in job.Instance) []job.Instance {
+// slices are disjoint, capacity-capped blocks of one array, and so are
+// the orders.
+func SplitComponentsByStart(in job.Instance, order []int) (comps []job.Instance, orders [][]int) {
 	jobs := in.Jobs
 
 	// run[p] is the index, in start order, of the run holding position p.
 	run := make([]int, len(jobs))
 	runs := 0
 	var reach int64 // the largest end seen so far
-	for _, p := range job.ByStart(jobs) {
+	for _, p := range order {
 		if runs == 0 || jobs[p].Start() >= reach {
 			runs++
 			reach = jobs[p].End()
@@ -113,28 +122,44 @@ func SplitComponents(in job.Instance) []job.Instance {
 
 	// Each run gets a block of one shared slice, claimed when its
 	// smallest position comes up; filling the blocks in position order
-	// keeps every component's jobs in increasing position.
+	// keeps every component's jobs in increasing position. The orders
+	// take the same blocks of a second slice.
 	size := make([]int, runs)
 	for _, r := range run {
 		size[r]++
 	}
-	next := make([]int, runs) // the run's next free slot; -1 until claimed
-	for r := range next {
-		next[r] = -1
+	base := make([]int, runs) // the run's block start; -1 until claimed
+	for r := range base {
+		base[r] = -1
 	}
+	next := make([]int, runs)       // the run's next free slot
+	local := make([]int, len(jobs)) // p's position in its component
 	all := make([]job.Job, len(jobs))
-	out := make([]job.Instance, 0, runs)
+	ords := make([]int, len(jobs))
+	comps = make([]job.Instance, 0, runs)
+	orders = make([][]int, 0, runs)
 	claimed := 0
 	for p, r := range run {
-		if next[r] < 0 {
+		if base[r] < 0 {
 			lo, hi := claimed, claimed+size[r]
-			out = append(out, job.Instance{Jobs: all[lo:hi:hi], G: in.G})
-			next[r], claimed = lo, hi
+			comps = append(comps, job.Instance{Jobs: all[lo:hi:hi], G: in.G})
+			orders = append(orders, ords[lo:hi:hi])
+			base[r], next[r], claimed = lo, lo, hi
 		}
+		local[p] = next[r] - base[r]
 		all[next[r]] = jobs[p]
 		next[r]++
 	}
-	return out
+	// A component's order is its run's segment of the start order, in
+	// local positions: local positions keep the order of the instance's,
+	// so ByStart's position tie-break is unchanged.
+	copy(next, base)
+	for _, p := range order {
+		r := run[p]
+		ords[next[r]] = local[p]
+		next[r]++
+	}
+	return comps, orders
 }
 
 // IsClique reports whether the jobs form a clique set: some time is common
@@ -154,8 +179,11 @@ func CommonTime(jobs []job.Job) (int64, bool) {
 
 // IsProper reports whether no job's interval properly contains another's.
 // Equivalently, sorting by start also sorts by end (Property 3.1).
-func IsProper(jobs []job.Job) bool {
-	order := job.ByStart(jobs)
+func IsProper(jobs []job.Job) bool { return IsProperByStart(jobs, job.ByStart(jobs)) }
+
+// IsProperByStart is IsProper for a caller that holds ByStart(jobs): one
+// pass over adjacent jobs of that order.
+func IsProperByStart(jobs []job.Job, order []int) bool {
 	for k := 1; k < len(order); k++ {
 		prev, cur := jobs[order[k-1]], jobs[order[k]]
 		// prev.Start <= cur.Start; containment iff cur.End <= prev.End and
@@ -241,9 +269,13 @@ func (c Class) String() string {
 }
 
 // Classify returns the most specific class of the job set.
-func Classify(jobs []job.Job) Class {
+func Classify(jobs []job.Job) Class { return ClassifyByStart(jobs, job.ByStart(jobs)) }
+
+// ClassifyByStart is Classify for a caller that holds ByStart(jobs); it
+// sorts nothing.
+func ClassifyByStart(jobs []job.Job, order []int) Class {
 	clique := IsClique(jobs)
-	proper := IsProper(jobs)
+	proper := IsProperByStart(jobs, order)
 	switch {
 	case clique && OneSidedness(jobs) != NotOneSided:
 		return OneSidedClique

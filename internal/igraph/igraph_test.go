@@ -138,6 +138,7 @@ func TestSplitComponentsMatchesGraph(t *testing.T) {
 				if got, want := SplitComponents(in), splitReference(in); !equalSplits(got, want) {
 					t.Fatalf("%s n=%d seed=%d: sweep %v, graph %v", family, n, seed, got, want)
 				}
+				checkComponentOrders(t, in)
 			}
 		}
 	}
@@ -208,7 +209,27 @@ func FuzzSplitComponents(f *testing.F) {
 		if got, want := SplitComponents(in), splitReference(in); !equalSplits(got, want) {
 			t.Fatalf("jobs %v: sweep %v, graph %v", in.Jobs, got, want)
 		}
+		checkComponentOrders(t, in)
 	})
+}
+
+// checkComponentOrders checks that SplitComponentsByStart returns
+// SplitComponents' pieces, each with its own ByStart order, and that
+// classifying a piece over that order agrees with Classify.
+func checkComponentOrders(t *testing.T, in job.Instance) {
+	t.Helper()
+	comps, orders := SplitComponentsByStart(in, job.ByStart(in.Jobs))
+	if !equalSplits(comps, SplitComponents(in)) || len(orders) != len(comps) {
+		t.Fatalf("jobs %v: SplitComponentsByStart gives %d pieces and %d orders, SplitComponents %v", in.Jobs, len(comps), len(orders), SplitComponents(in))
+	}
+	for i, c := range comps {
+		if want := job.ByStart(c.Jobs); !slices.Equal(orders[i], want) {
+			t.Fatalf("jobs %v: component %d order %v, ByStart %v", in.Jobs, i, orders[i], want)
+		}
+		if got, want := ClassifyByStart(c.Jobs, orders[i]), Classify(c.Jobs); got != want {
+			t.Fatalf("jobs %v: component %d ClassifyByStart %v, Classify %v", in.Jobs, i, got, want)
+		}
+	}
 }
 
 func TestSplitComponents(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/interval"
@@ -75,15 +76,26 @@ func (in Instance) Validate() error {
 	if in.G < 1 {
 		return fmt.Errorf("job: capacity g = %d, need g >= 1", in.G)
 	}
-	seen := make(map[int]bool, len(in.Jobs))
+	// While IDs strictly increase none can repeat, so no set is needed;
+	// from the first ID that does not exceed its predecessor on, the IDs
+	// go into a map. Either way the first error in job order is reported.
+	var seen map[int]bool
 	for i, j := range in.Jobs {
 		if j.Interval.Empty() {
 			return fmt.Errorf("job: job %d has empty interval %v", i, j.Interval)
 		}
-		if seen[j.ID] {
-			return fmt.Errorf("job: duplicate job ID %d", j.ID)
+		if seen == nil && i > 0 && j.ID <= in.Jobs[i-1].ID {
+			seen = make(map[int]bool, len(in.Jobs))
+			for _, prev := range in.Jobs[:i] {
+				seen[prev.ID] = true
+			}
 		}
-		seen[j.ID] = true
+		if seen != nil {
+			if seen[j.ID] {
+				return fmt.Errorf("job: duplicate job ID %d", j.ID)
+			}
+			seen[j.ID] = true
+		}
 		if j.Weight < 1 {
 			return fmt.Errorf("job: job %d has weight %d, need >= 1", j.ID, j.Weight)
 		}
@@ -107,7 +119,7 @@ func (in Instance) Intervals() []interval.Interval {
 func (in Instance) TotalLen() int64 { return interval.TotalLen(in.Intervals()) }
 
 // Span returns span(J), the measure of the union of all job intervals.
-func (in Instance) Span() int64 { return interval.Span(in.Intervals()) }
+func (in Instance) Span() int64 { return SpanByStart(in.Jobs, ByStart(in.Jobs)) }
 
 // ParallelismBound returns ceil(len(J)/g), the paper's parallelism lower
 // bound rounded up to the integer lattice (costs are integral on integral
@@ -120,12 +132,12 @@ func (in Instance) ParallelismBound() int64 {
 
 // LowerBound returns max(parallelism bound, span bound) — the best simple
 // lower bound on cost* from Observation 2.1.
-func (in Instance) LowerBound() int64 {
-	pb := in.ParallelismBound()
-	if sp := in.Span(); sp > pb {
-		return sp
-	}
-	return pb
+func (in Instance) LowerBound() int64 { return in.LowerBoundByStart(ByStart(in.Jobs)) }
+
+// LowerBoundByStart is LowerBound for a caller that holds the jobs'
+// ByStart order: it takes the span from that order and sorts nothing.
+func (in Instance) LowerBoundByStart(order []int) int64 {
+	return max(in.ParallelismBound(), SpanByStart(in.Jobs, order))
 }
 
 // Clone returns a deep copy of the instance.
@@ -148,14 +160,67 @@ func (in Instance) SortedByStart() Instance {
 // ByStart returns the positions of jobs in the paper's order
 // J1 <= J2 <= ... <= Jn: by start, then end, then position. By Property
 // 3.1 an instance is proper exactly when this order also sorts its jobs
-// by end. Every algorithm that walks jobs by start uses this order.
+// by end. Every algorithm that walks jobs by start uses this order, and
+// a served request computes it once and hands it to every pass that
+// needs it (the functions named ...ByStart).
 func ByStart(jobs []Job) []int {
 	order := positions(len(jobs))
-	slices.SortFunc(order, func(a, b int) int {
-		ja, jb := jobs[a].Interval, jobs[b].Interval
-		return cmp.Or(cmp.Compare(ja.Start, jb.Start), cmp.Compare(ja.End, jb.End), cmp.Compare(a, b))
-	})
+	slices.SortFunc(order, func(a, b int) int { return compareByStart(jobs, a, b) })
 	return order
+}
+
+// compareByStart is ByStart's total order on the positions of jobs. It
+// compares ends only on equal starts, and positions only on equal
+// intervals; cmp.Or would evaluate all three comparisons on every call.
+func compareByStart(jobs []Job, a, b int) int {
+	ja, jb := &jobs[a].Interval, &jobs[b].Interval
+	switch {
+	case ja.Start != jb.Start:
+		return cmp.Compare(ja.Start, jb.Start)
+	case ja.End != jb.End:
+		return cmp.Compare(ja.End, jb.End)
+	}
+	return cmp.Compare(a, b)
+}
+
+// IsByStart reports whether order is ByStart(jobs), in O(n) and without
+// allocating: it has one entry per job, every entry is a position, and
+// each entry comes strictly before the next in ByStart's order. Strict
+// increase under a total order makes the entries distinct, so order is
+// a permutation. A holder of an order from elsewhere checks it with
+// IsByStart before a pass relies on it.
+func IsByStart(jobs []Job, order []int) bool {
+	if len(order) != len(jobs) {
+		return false
+	}
+	for k, p := range order {
+		if p < 0 || p >= len(jobs) || k > 0 && compareByStart(jobs, order[k-1], p) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// SpanByStart returns the measure of the union of the intervals of the
+// jobs at the positions order lists, which must come in ByStart order
+// (ByStart(jobs) or any sub-slice of it): one pass, no sort. Empty
+// intervals add nothing, as in interval.Span.
+func SpanByStart(jobs []Job, order []int) int64 {
+	var total int64
+	end := int64(math.MinInt64) // the end of the current busy period
+	for _, p := range order {
+		iv := jobs[p].Interval
+		switch {
+		case iv.Empty():
+		case iv.Start >= end:
+			total += iv.Len()
+			end = iv.End
+		case iv.End > end:
+			total += iv.End - end
+			end = iv.End
+		}
+	}
+	return total
 }
 
 // ByLenDesc returns the positions of jobs by non-increasing length, then

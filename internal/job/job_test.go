@@ -2,7 +2,12 @@ package job
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
+
+	"repro/internal/interval"
 )
 
 func TestNewAndAccessors(t *testing.T) {
@@ -170,5 +175,90 @@ func TestClone(t *testing.T) {
 	cp.Jobs[0].Interval.End = 99
 	if in.Jobs[0].End() == 99 {
 		t.Error("Clone shares job storage")
+	}
+}
+
+// validateReference is Validate with the ID map it built on every call,
+// the reference the one-pass ID check must agree with, error text
+// included.
+func validateReference(in Instance) error {
+	if in.G < 1 {
+		return fmt.Errorf("job: capacity g = %d, need g >= 1", in.G)
+	}
+	seen := make(map[int]bool, len(in.Jobs))
+	for i, j := range in.Jobs {
+		if j.Interval.Empty() {
+			return fmt.Errorf("job: job %d has empty interval %v", i, j.Interval)
+		}
+		if seen[j.ID] {
+			return fmt.Errorf("job: duplicate job ID %d", j.ID)
+		}
+		seen[j.ID] = true
+		if j.Weight < 1 {
+			return fmt.Errorf("job: job %d has weight %d, need >= 1", j.ID, j.Weight)
+		}
+		if j.Demand < 1 || j.Demand > int64(in.G) {
+			return fmt.Errorf("job: job %d has demand %d outside [1, g=%d]", j.ID, j.Demand, in.G)
+		}
+	}
+	return nil
+}
+
+func TestValidateIDsMatchReference(t *testing.T) {
+	// Each case lists job IDs; a job with ID 100 has weight 0, and one
+	// with ID 200 is empty, so a duplicate competes with other errors.
+	cases := map[string][]int{
+		"increasing":            {1, 2, 5, 9},
+		"negative increasing":   {-9, -3, 0, 4},
+		"shuffled":              {4, 1, 3, 2, 0},
+		"duplicate adjacent":    {1, 2, 2, 3},
+		"duplicate at start":    {7, 7},
+		"duplicate after drop":  {1, 5, 3, 5},
+		"duplicate of first":    {1, 5, 9, 1},
+		"duplicate late":        {0, 1, 2, 3, 10, 4, 5, 6, 7, 6},
+		"mixed no duplicate":    {0, 2, 4, 1, 3, 5, 7, 6},
+		"weight before dup":     {1, 100, 1},
+		"dup before weight":     {1, 3, 1, 100},
+		"empty before dup":      {1, 200, 1},
+		"dup before empty":      {3, 3, 200},
+		"weight in rising run":  {1, 2, 100, 101},
+		"dup of weight-bad id":  {100, 100},
+		"single":                {42},
+		"none":                  {},
+		"max and min int":       {math.MinInt, 0, math.MaxInt},
+		"descending then equal": {9, 8, 7, 7},
+	}
+	for name, ids := range cases {
+		in := Instance{G: 2, Jobs: make([]Job, len(ids))}
+		for i, id := range ids {
+			in.Jobs[i] = Job{ID: id, Interval: interval.New(int64(i), int64(i)+3), Weight: 1, Demand: 1}
+			switch id {
+			case 100:
+				in.Jobs[i].Weight = 0
+			case 200:
+				in.Jobs[i].Interval.End = in.Jobs[i].Interval.Start
+			}
+		}
+		got, want := in.Validate(), validateReference(in)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s %v: Validate = %v, reference %v", name, ids, got, want)
+		}
+	}
+	// Random ID sequences, half of them rising.
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		in := Instance{G: 3, Jobs: make([]Job, r.Intn(12))}
+		id := r.Intn(5) - 2
+		for i := range in.Jobs {
+			if trial%2 == 0 {
+				id += r.Intn(3)
+			} else {
+				id = r.Intn(10)
+			}
+			in.Jobs[i] = Job{ID: id, Interval: interval.New(0, 1), Weight: 1 + r.Int63n(2) - int64(r.Intn(30)/29), Demand: 1 + r.Int63n(3)}
+		}
+		if got, want := in.Validate(), validateReference(in); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%+v: Validate = %v, reference %v", in.Jobs, got, want)
+		}
 	}
 }

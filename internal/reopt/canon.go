@@ -16,10 +16,11 @@
 package reopt
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
 
 	"repro/internal/job"
 )
@@ -32,17 +33,20 @@ type CanonJob struct {
 	Weight, Demand int64
 }
 
-func (c CanonJob) less(o CanonJob) bool {
-	if c.Start != o.Start {
-		return c.Start < o.Start
+func (c CanonJob) less(o CanonJob) bool { return compareCanon(c, o) < 0 }
+
+// compareCanon is the canonical order: by start, end, weight, demand.
+// Like job.ByStart's comparator it stops at the first key that differs.
+func compareCanon(a, b CanonJob) int {
+	switch {
+	case a.Start != b.Start:
+		return cmp.Compare(a.Start, b.Start)
+	case a.End != b.End:
+		return cmp.Compare(a.End, b.End)
+	case a.Weight != b.Weight:
+		return cmp.Compare(a.Weight, b.Weight)
 	}
-	if c.End != o.End {
-		return c.End < o.End
-	}
-	if c.Weight != o.Weight {
-		return c.Weight < o.Weight
-	}
-	return c.Demand < o.Demand
+	return cmp.Compare(a.Demand, b.Demand)
 }
 
 // Canonical returns the instance's canonical job sequence — sorted by
@@ -53,28 +57,50 @@ func (c CanonJob) less(o CanonJob) bool {
 // interchangeable, so the tie-break among them (instance position) never
 // affects the fingerprint or the validity of a remapped schedule.
 func Canonical(in job.Instance) (jobs []CanonJob, perm []int) {
-	n := len(in.Jobs)
-	jobs = make([]CanonJob, n)
-	perm = make([]int, n)
-	if n == 0 {
+	return CanonicalByStart(in, job.ByStart(in.Jobs))
+}
+
+// CanonicalByStart is Canonical for a caller that holds
+// ByStart(in.Jobs), which already orders the jobs by start, end and
+// position. Only runs of equal (start, end) are sorted again, stably by
+// weight and then demand, which gives Canonical's order with the same
+// position tie-break. Translation keeps the start order unless it
+// wraps, for times more than 2^63 apart; then the permutation is sorted
+// stably on the translated times.
+func CanonicalByStart(in job.Instance, order []int) (jobs []CanonJob, perm []int) {
+	perm = slices.Clone(order)
+	jobs = make([]CanonJob, len(perm))
+	if len(perm) == 0 {
 		return jobs, perm
 	}
-	origin := in.Jobs[0].Start()
-	for _, j := range in.Jobs[1:] {
-		if j.Start() < origin {
-			origin = j.Start()
+	origin := in.Jobs[perm[0]].Start()
+	canon := func(p int) CanonJob {
+		j := in.Jobs[p]
+		return CanonJob{Start: j.Start() - origin, End: j.End() - origin, Weight: j.Weight, Demand: j.Demand}
+	}
+	byCanon := func(a, b int) int { return compareCanon(canon(a), canon(b)) }
+	for lo := 0; lo < len(perm); {
+		hi := lo + 1
+		for hi < len(perm) && in.Jobs[perm[hi]].Interval == in.Jobs[perm[lo]].Interval {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortStableFunc(perm[lo:hi], byCanon)
+		}
+		lo = hi
+	}
+	wrapped := false
+	for k, p := range perm {
+		jobs[k] = canon(p)
+		wrapped = wrapped || jobs[k].End < 0
+	}
+	if wrapped {
+		slices.SortStableFunc(perm, byCanon)
+		for k, p := range perm {
+			jobs[k] = canon(p)
 		}
 	}
-	for i, j := range in.Jobs {
-		jobs[i] = CanonJob{Start: j.Start() - origin, End: j.End() - origin, Weight: j.Weight, Demand: j.Demand}
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool { return jobs[perm[a]].less(jobs[perm[b]]) })
-	sorted := make([]CanonJob, n)
-	for k, p := range perm {
-		sorted[k] = jobs[p]
-	}
-	return sorted, perm
+	return jobs, perm
 }
 
 // FingerprintCanon hashes an already-canonical job sequence together

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/igraph"
+	"repro/internal/job"
 	"repro/internal/localsearch"
 	"repro/internal/online"
 	"repro/internal/parallel"
@@ -167,6 +168,11 @@ type Result struct {
 	// attributes — recorded only when the caller's ctx was trace-enabled
 	// (trace.Enable, or any request served by busyd). Nil otherwise.
 	Trace *trace.Node `json:"trace,omitempty"`
+
+	// order is the 1-D instance's ByStart order as the solve computed
+	// it, so Certificate need not sort again. Certificate uses it only
+	// after job.IsByStart confirms it for the schedule's instance.
+	order []int
 }
 
 // Reoptimization cache outcomes reported in Result.CacheOutcome (and on
@@ -205,18 +211,24 @@ func (r Result) Certificate() error {
 		}
 		return nil
 	}
-	if err := r.Schedule.Validate(); err != nil {
+	// The carried order is checked, never trusted: a Result built or
+	// edited outside the Solver may hold a stale one, or none.
+	in := r.Schedule.Instance
+	order := r.order
+	if !job.IsByStart(in.Jobs, order) {
+		order = job.ByStart(in.Jobs)
+	}
+	if err := r.Schedule.ValidateByStart(order); err != nil {
 		return err
 	}
-	if c := r.Schedule.Cost(); c != r.Cost {
+	if c := r.Schedule.CostByStart(order); c != r.Cost {
 		return fmt.Errorf("busytime: reported cost %d, schedule costs %d", r.Cost, c)
 	}
 	if got := r.Schedule.Throughput(); got != r.Scheduled {
 		return fmt.Errorf("busytime: reported %d scheduled jobs, schedule has %d", r.Scheduled, got)
 	}
-	in := r.Schedule.Instance
 	if r.Scheduled == len(in.Jobs) && len(in.Jobs) > 0 {
-		if b := core.BoundsOf(in); !b.Contains(r.Cost) {
+		if b := core.BoundsByStart(in, order); !b.Contains(r.Cost) {
 			return fmt.Errorf("busytime: cost %d outside Observation 2.1 bounds [%d, %d]", r.Cost, b.Lower(), b.Length)
 		}
 	}
@@ -251,13 +263,15 @@ func (r Result) Certificate() error {
 // the structured statistics without re-running a Solver.
 func ResultOf(algorithm string, s Schedule) Result {
 	in := s.Instance
+	order := job.ByStart(in.Jobs)
 	res := Result{
 		Schedule:   s,
 		Algorithm:  algorithm,
 		Kind:       KindMinBusy,
-		Class:      igraph.Classify(in.Jobs),
+		Class:      igraph.ClassifyByStart(in.Jobs, order),
 		N:          len(in.Jobs),
-		LowerBound: in.LowerBound(),
+		LowerBound: in.LowerBoundByStart(order),
+		order:      order,
 	}
 	// A machine array that does not match the job list (e.g. truncated or
 	// padded JSON) cannot be charged for cost or throughput; leave the
@@ -266,7 +280,7 @@ func ResultOf(algorithm string, s Schedule) Result {
 	if len(s.Machine) != len(in.Jobs) {
 		return res
 	}
-	res.Cost = s.Cost()
+	res.Cost = s.CostByStart(order)
 	res.Scheduled = s.Throughput()
 	res.Machines = s.Machines()
 	res.RatioVsBound = stats.Ratio(res.Cost, res.LowerBound)
@@ -467,8 +481,10 @@ func (s *Solver) solveOne(ctx context.Context, req Request) (Result, error) {
 	return res, err
 }
 
-// dispatch classifies the request once and routes it on the problem
-// kind.
+// dispatch validates the request, sorts a 1-D instance once into its
+// ByStart order, and routes it on the problem kind. Every later pass
+// over the whole instance — fingerprint, classification, component
+// split, cost, bound and the Result's certificate — reads that order.
 func (s *Solver) dispatch(ctx context.Context, req Request) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -489,29 +505,31 @@ func (s *Solver) dispatch(ctx context.Context, req Request) (Result, error) {
 	if req.TransitionBudget < 0 {
 		return Result{}, fmt.Errorf("busytime: transition budget %d, need >= 0", req.TransitionBudget)
 	}
+	order := job.ByStart(in.Jobs)
 	if kind == KindMinBusy && s.reopt != nil {
-		return s.solveReopt(ctx, req)
+		return s.solveReopt(ctx, req, order)
 	}
 	if req.BaseID != "" {
 		return Result{}, fmt.Errorf("busytime: Request.BaseID needs WithReoptimization and a %s request", KindMinBusy)
 	}
-	return s.solve1D(ctx, req, kind)
+	return s.solve1D(ctx, req, kind, order)
 }
 
 // solve1D is the cold (cache-free) 1-D solve path: classify once,
 // dispatch on the kind, post-optimize, assemble the Result. The
-// instance is already validated. Each phase runs under its own span:
-// "classify" (class detection), "placement" (the algorithm itself),
-// "local-search" (when enabled) and "bound" (Observation 2.1).
-func (s *Solver) solve1D(ctx context.Context, req Request, kind ProblemKind) (Result, error) {
+// instance is already validated, and order is its ByStart order. Each
+// phase runs under its own span: "classify" (class detection),
+// "placement" (the algorithm itself), "local-search" (when enabled)
+// and "bound" (cost and Observation 2.1).
+func (s *Solver) solve1D(ctx context.Context, req Request, kind ProblemKind, order []int) (Result, error) {
 	in := req.Instance
 	_, csp := trace.Start(ctx, "classify")
-	class := igraph.Classify(in.Jobs)
+	class := igraph.ClassifyByStart(in.Jobs, order)
 	csp.End()
 
 	var res Result
 	pctx, psp := trace.Start(ctx, "placement")
-	sch, name, admittedBound, err := s.place(pctx, req, kind, class, &res)
+	sch, name, admittedBound, err := s.place(pctx, req, kind, class, order, &res)
 	if err == nil {
 		psp.SetAttr("algorithm", name)
 	}
@@ -527,9 +545,11 @@ func (s *Solver) solve1D(ctx context.Context, req Request, kind ProblemKind) (Re
 		name += "+local-search"
 	}
 
+	// Every algorithm returns a schedule of in itself, so order is the
+	// schedule's order too.
 	_, bsp := trace.Start(ctx, "bound")
-	cost := sch.Cost()
-	lb := in.LowerBound()
+	cost := sch.CostByStart(order)
+	lb := in.LowerBoundByStart(order)
 	bsp.End()
 	if admittedBound >= 0 {
 		lb = admittedBound
@@ -544,6 +564,7 @@ func (s *Solver) solve1D(ctx context.Context, req Request, kind ProblemKind) (Re
 	res.Machines = sch.Machines()
 	res.LowerBound = lb
 	res.RatioVsBound = stats.Ratio(cost, lb)
+	res.order = order
 	return res, nil
 }
 
@@ -551,12 +572,12 @@ func (s *Solver) solve1D(ctx context.Context, req Request, kind ProblemKind) (Re
 // kind-specific Result statistics in place. The returned admittedBound
 // is ≥ 0 only for online runs with rejections, where the Observation
 // 2.1 bound must cover the admitted arrivals alone.
-func (s *Solver) place(ctx context.Context, req Request, kind ProblemKind, class Class, res *Result) (sch Schedule, name string, admittedBound int64, err error) {
+func (s *Solver) place(ctx context.Context, req Request, kind ProblemKind, class Class, order []int, res *Result) (sch Schedule, name string, admittedBound int64, err error) {
 	in := req.Instance
 	admittedBound = -1
 	switch kind {
 	case KindMinBusy:
-		sch, name, err = s.solveMinBusy(ctx, in, class)
+		sch, name, err = s.solveMinBusy(ctx, in, class, order)
 	case KindMaxThroughput:
 		budget := req.Budget
 		if budget == 0 {
@@ -574,7 +595,7 @@ func (s *Solver) place(ctx context.Context, req Request, kind ProblemKind, class
 		budget := req.Budget
 		var onlineRes online.Result
 		var budgetApplied bool
-		onlineRes, name, budgetApplied, err = s.solveOnline(ctx, in, budget)
+		onlineRes, name, budgetApplied, err = s.solveOnline(ctx, in, budget, class)
 		sch = onlineRes.Schedule
 		res.MachinesOpened = onlineRes.MachinesOpened
 		res.PeakOpen = onlineRes.PeakOpen
@@ -616,10 +637,10 @@ func nearLimit(n int) int {
 // BaseID warm starts route through local repair, and misses fall
 // through to the cold path and are cached. Every served schedule is
 // rebuilt on — and certified against — the submitted instance.
-func (s *Solver) solveReopt(ctx context.Context, req Request) (Result, error) {
+func (s *Solver) solveReopt(ctx context.Context, req Request, order []int) (Result, error) {
 	in := req.Instance
 	_, fsp := trace.Start(ctx, "reopt.fingerprint")
-	canon, perm := reopt.Canonical(in)
+	canon, perm := reopt.CanonicalByStart(in, order)
 	fp := reopt.FingerprintCanon(in.G, canon, s.algorithm)
 	fsp.End()
 
@@ -629,17 +650,17 @@ func (s *Solver) solveReopt(ctx context.Context, req Request) (Result, error) {
 	if req.BaseID != "" {
 		if e, ok := s.reopt.LookupID(req.BaseID); ok {
 			if e.Fingerprint == fp {
-				if res, err := s.serveCacheHit(e, in, perm); err == nil {
+				if res, err := s.serveCacheHit(e, in, order, perm); err == nil {
 					return res, nil
 				}
-			} else if res, ok := s.serveRepair(ctx, e, in, canon, perm, fp, req.TransitionBudget); ok {
+			} else if res, ok := s.serveRepair(ctx, e, in, order, canon, perm, fp, req.TransitionBudget); ok {
 				return res, nil
 			}
 		}
 	}
 
 	if e, ok := s.reopt.Lookup(fp); ok {
-		if res, err := s.serveCacheHit(e, in, perm); err == nil {
+		if res, err := s.serveCacheHit(e, in, order, perm); err == nil {
 			return res, nil
 		}
 	}
@@ -648,12 +669,12 @@ func (s *Solver) solveReopt(ctx context.Context, req Request) (Result, error) {
 	e, _, near := s.reopt.Nearest(in.G, canon, nearLimit(len(in.Jobs)))
 	nsp.End()
 	if near {
-		if res, ok := s.serveRepair(ctx, e, in, canon, perm, fp, req.TransitionBudget); ok {
+		if res, ok := s.serveRepair(ctx, e, in, order, canon, perm, fp, req.TransitionBudget); ok {
 			return res, nil
 		}
 	}
 
-	res, err := s.solve1D(ctx, req, KindMinBusy)
+	res, err := s.solve1D(ctx, req, KindMinBusy, order)
 	if err != nil {
 		return res, err
 	}
@@ -670,12 +691,12 @@ func (s *Solver) solveReopt(ctx context.Context, req Request) (Result, error) {
 // serveCacheHit remaps a cached assignment onto the submitted instance.
 // Cost, bound and certificate are re-derived from the remapped schedule
 // and the submitted jobs — the cache only supplies the assignment.
-func (s *Solver) serveCacheHit(e reopt.Entry, in Instance, perm []int) (Result, error) {
+func (s *Solver) serveCacheHit(e reopt.Entry, in Instance, order, perm []int) (Result, error) {
 	sch, err := reopt.RemapAssignment(e, in, perm)
 	if err != nil {
 		return Result{}, err
 	}
-	res := s.assembleMinBusy(sch, in, e.Class, e.Algorithm)
+	res := s.assembleMinBusy(sch, in, order, e.Class, e.Algorithm)
 	res.ID = e.ID
 	res.CacheOutcome = CacheHit
 	return res, nil
@@ -685,12 +706,12 @@ func (s *Solver) serveCacheHit(e reopt.Entry, in Instance, perm []int) (Result, 
 // repairs locally around the delta. The repaired schedule is cached
 // under the submission's own fingerprint, so an identical resubmission
 // upgrades to a hit.
-func (s *Solver) serveRepair(ctx context.Context, e reopt.Entry, in Instance, canon []reopt.CanonJob, perm []int, fp string, transitionBudget int) (Result, bool) {
+func (s *Solver) serveRepair(ctx context.Context, e reopt.Entry, in Instance, order []int, canon []reopt.CanonJob, perm []int, fp string, transitionBudget int) (Result, bool) {
 	rep, err := reopt.Repair(ctx, e, in, canon, perm, transitionBudget)
 	if err != nil {
 		return Result{}, false
 	}
-	res := s.assembleMinBusy(rep.Schedule, in, igraph.Classify(in.Jobs), "reopt-repair")
+	res := s.assembleMinBusy(rep.Schedule, in, order, igraph.ClassifyByStart(in.Jobs, order), "reopt-repair")
 	res.BaseID = e.ID
 	res.Transition = rep.Transition
 	res.CacheOutcome = CacheRepair
@@ -704,10 +725,10 @@ func (s *Solver) serveRepair(ctx context.Context, e reopt.Entry, in Instance, ca
 }
 
 // assembleMinBusy builds a KindMinBusy Result around a total schedule of
-// the submitted instance.
-func (s *Solver) assembleMinBusy(sch Schedule, in Instance, class Class, algorithm string) Result {
-	cost := sch.Cost()
-	lb := in.LowerBound()
+// the submitted instance, whose ByStart order is order.
+func (s *Solver) assembleMinBusy(sch Schedule, in Instance, order []int, class Class, algorithm string) Result {
+	cost := sch.CostByStart(order)
+	lb := in.LowerBoundByStart(order)
 	return Result{
 		Schedule:     sch,
 		Algorithm:    algorithm,
@@ -719,12 +740,14 @@ func (s *Solver) assembleMinBusy(sch Schedule, in Instance, class Class, algorit
 		Machines:     sch.Machines(),
 		LowerBound:   lb,
 		RatioVsBound: stats.Ratio(cost, lb),
+		order:        order,
 	}
 }
 
 // solveMinBusy runs a pinned algorithm, the exact oracle below the
 // threshold, or registry-driven auto dispatch over connected components.
-func (s *Solver) solveMinBusy(ctx context.Context, in Instance, class Class) (Schedule, string, error) {
+// order is in's ByStart order; the split hands each component its own.
+func (s *Solver) solveMinBusy(ctx context.Context, in Instance, class Class, order []int) (Schedule, string, error) {
 	if s.algorithm != "" {
 		alg, err := registry.LookupKind(registry.MinBusy, s.algorithm)
 		if err != nil {
@@ -738,7 +761,7 @@ func (s *Solver) solveMinBusy(ctx context.Context, in Instance, class Class) (Sc
 		return sch, "exact", err
 	}
 
-	comps := igraph.SplitComponents(in)
+	comps, orders := igraph.SplitComponentsByStart(in, order)
 	if len(comps) <= 1 {
 		return runMinBusyChain(ctx, in, class)
 	}
@@ -753,7 +776,7 @@ func (s *Solver) solveMinBusy(ctx context.Context, in Instance, class Class) (Sc
 	}
 	results := make([]compResult, len(comps))
 	parallel.ForEach(len(comps), s.parallelism, func(i int) {
-		sch, name, err := runMinBusyChain(ctx, comps[i], igraph.Classify(comps[i].Jobs))
+		sch, name, err := runMinBusyChain(ctx, comps[i], igraph.ClassifyByStart(comps[i].Jobs, orders[i]))
 		results[i] = compResult{sch, name, err}
 	})
 
@@ -809,8 +832,8 @@ func (s *Solver) solveThroughput(ctx context.Context, in Instance, budget int64,
 	return Schedule{}, "", fmt.Errorf("busytime: no registered max-throughput algorithm accepted the instance (class %s)", class)
 }
 
-// solveOnline replays the instance through the pinned (or strongest
-// registered) strategy. A positive budget is handed to strategies that
+// solveOnline replays the instance through the pinned strategy, or the
+// strongest registered one for the instance's class. A positive budget is handed to strategies that
 // implement online.BudgetSetter (the admission-control family); the
 // returned flag reports whether it actually applied, so the Result only
 // echoes a budget the run was really bound by. Pinning a budgeted
@@ -821,10 +844,10 @@ func (s *Solver) solveThroughput(ctx context.Context, in Instance, budget int64,
 // total schedule here. The user-facing surfaces (busyd's /v1/stream,
 // busysim online) refuse that combination instead, because there the silent
 // degeneration would masquerade as admission control.
-func (s *Solver) solveOnline(ctx context.Context, in Instance, budget int64) (online.Result, string, bool, error) {
+func (s *Solver) solveOnline(ctx context.Context, in Instance, budget int64, class Class) (online.Result, string, bool, error) {
 	name := s.algorithm
 	if name == "" {
-		alg, err := registry.For(registry.Online, igraph.Classify(in.Jobs))
+		alg, err := registry.For(registry.Online, class)
 		if err != nil {
 			return online.Result{}, "", false, err
 		}
