@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/igraph"
 	"repro/internal/job"
@@ -377,16 +378,5 @@ func MergeComponents(in job.Instance, comps []job.Instance, subs []Schedule, nam
 		parts = append(parts, name)
 	}
 	sort.Strings(parts)
-	return s, "components:" + joinNames(parts)
-}
-
-func joinNames(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += "+"
-		}
-		out += p
-	}
-	return out
+	return s, "components:" + strings.Join(parts, "+")
 }

@@ -20,6 +20,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/interval"
 	"repro/internal/job"
 )
 
@@ -72,7 +73,8 @@ func (s Schedule) Cost() int64 { return s.CostByStart(job.ByStart(s.Instance.Job
 
 // CostByStart is Cost for a caller that holds ByStart(s.Instance.Jobs):
 // one pass over that order. Each machine's jobs come up in start order,
-// so it only keeps, per machine, the end of its current busy period.
+// so it only keeps, per machine, the end of its current busy period for
+// interval.Extend.
 func (s Schedule) CostByStart(order []int) int64 {
 	jobs := s.Instance.Jobs
 	slot, k, _ := slotsOf(s.Machine)
@@ -82,18 +84,9 @@ func (s Schedule) CostByStart(order []int) int64 {
 	}
 	var total int64
 	for _, p := range order {
-		if p >= len(slot) {
-			continue // a truncated machine array leaves the rest unscheduled
-		}
-		c, iv := slot[p], jobs[p].Interval
-		switch {
-		case c == Unscheduled || iv.Empty():
-		case iv.Start >= end[c]:
-			total += iv.Len()
-			end[c] = iv.End
-		case iv.End > end[c]:
-			total += iv.End - end[c]
-			end[c] = iv.End
+		// A truncated machine array leaves the rest unscheduled.
+		if p < len(slot) && slot[p] != Unscheduled {
+			total += interval.Extend(&end[slot[p]], jobs[p].Interval)
 		}
 	}
 	return total

@@ -781,14 +781,15 @@ func E16(seeds int) Result {
 // E17 measures the streaming online subsystem (beyond paper): every
 // served strategy — FirstFit, Buckets, BestFit and the weighted budgeted
 // admission control — runs twice on the same seeded weighted arrival
-// streams, once through the offline replay harness and once fed arrival
-// by arrival through an incremental online.Session (the state behind
-// busyd's POST /v1/stream). The streamed run's final cost, Observation
-// 2.1 lower bound and empirical competitive ratio must agree exactly
-// with the offline replay's; the experiment panics on any divergence, so
-// the streaming path can never silently drift from the reference
-// harness. The table reports the (identical) mean ratios plus the
-// admission behaviour of the budgeted strategy.
+// streams, once through the offline replay harness (a session fed the
+// instance's ByStart order) and once fed arrival by arrival, from the
+// instance's SortedByStart copy, through an incremental online.Session
+// (the state behind busyd's POST /v1/stream). The streamed run's final
+// cost, Observation 2.1 lower bound and empirical competitive ratio must
+// agree exactly with the offline replay's; the experiment panics on any
+// divergence, so the streaming path can never silently drift from the
+// reference harness. The table reports the (identical) mean ratios plus
+// the admission behaviour of the budgeted strategy.
 func E17(seeds int) Result {
 	cfg := workload.Config{N: 300, G: 4, MaxTime: 1500, MaxLen: 60}
 	builders := []struct {
@@ -811,7 +812,7 @@ func E17(seeds int) Result {
 			if err != nil {
 				panic(err)
 			}
-			want := res.Summarize()
+			want := res.Summary
 
 			sess, err := online.NewSession(in.G, b.mk(budget))
 			if err != nil {

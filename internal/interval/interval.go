@@ -106,14 +106,25 @@ func (iv Interval) String() string {
 	return fmt.Sprintf("[%d,%d)", iv.Start, iv.End)
 }
 
-// TotalLen returns len(I) = Σ len(I_k), the paper's Definition 2.1 extended
-// to a set: overlapping portions are counted once per interval.
-func TotalLen(ivs []Interval) int64 {
-	var total int64
-	for _, iv := range ivs {
-		total += iv.Len()
+// Extend is one step of a busy-period sweep over intervals in start
+// order (each start at or after every earlier one): it returns the
+// measure iv adds to the union of the earlier intervals, whose right
+// edge is *end, and moves *end to the right edge of the grown union.
+// *end starts at math.MinInt64, the edge of the empty union. Empty
+// intervals add nothing.
+func Extend(end *int64, iv Interval) int64 {
+	switch {
+	case iv.Empty():
+		return 0
+	case iv.Start >= *end:
+		*end = iv.End
+		return iv.Len()
+	case iv.End > *end:
+		added := iv.End - *end
+		*end = iv.End
+		return added
 	}
-	return total
+	return 0
 }
 
 // Span returns span(I): the measure of the union of the intervals

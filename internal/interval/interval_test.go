@@ -1,7 +1,10 @@
 package interval
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -210,7 +213,52 @@ func TestPropertySpanAtMostLen(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		ivs := randomIntervals(r, int(nRaw%32))
-		return Span(ivs) <= TotalLen(ivs)
+		var total int64
+		for _, iv := range ivs {
+			total += iv.Len()
+		}
+		return Span(ivs) <= total
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestExtend(t *testing.T) {
+	end := int64(math.MinInt64)
+	steps := []struct {
+		iv      Interval
+		added   int64
+		nextEnd int64
+	}{
+		{New(-5, 3), 8, 3},        // the first interval adds its length
+		{New(0, 2), 0, 3},         // inside the union: nothing
+		{New(1, 7), 4, 7},         // overlapping: only the part past the edge
+		{New(7, 9), 2, 9},         // touching: its whole length
+		{New(9, 9), 0, 9},         // empty: nothing, edge unchanged
+		{New(20, 25), 5, 25},      // past a gap: its whole length
+		{New(20, 26), 1, 26},      // same start, later end
+		{Interval{30, 28}, 0, 26}, // reversed (empty): nothing
+	}
+	for i, st := range steps {
+		if got := Extend(&end, st.iv); got != st.added || end != st.nextEnd {
+			t.Errorf("step %d %v: added %d, end %d; want %d, %d", i, st.iv, got, end, st.added, st.nextEnd)
+		}
+	}
+}
+
+// Property: Extend summed over intervals in start order is Span.
+func TestPropertyExtendIsSpan(t *testing.T) {
+	f := func(seed int64, nRaw uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		ivs := randomIntervals(r, int(nRaw%32))
+		slices.SortFunc(ivs, func(a, b Interval) int { return cmp.Compare(a.Start, b.Start) })
+		end := int64(math.MinInt64)
+		var total int64
+		for _, iv := range ivs {
+			total += Extend(&end, iv)
+		}
+		return total == Span(ivs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -116,7 +116,13 @@ func (in Instance) Intervals() []interval.Interval {
 }
 
 // TotalLen returns len(J), the sum of job lengths.
-func (in Instance) TotalLen() int64 { return interval.TotalLen(in.Intervals()) }
+func (in Instance) TotalLen() int64 {
+	var total int64
+	for _, j := range in.Jobs {
+		total += j.Len()
+	}
+	return total
+}
 
 // Span returns span(J), the measure of the union of all job intervals.
 func (in Instance) Span() int64 { return SpanByStart(in.Jobs, ByStart(in.Jobs)) }
@@ -136,6 +142,8 @@ func (in Instance) LowerBound() int64 { return in.LowerBoundByStart(ByStart(in.J
 
 // LowerBoundByStart is LowerBound for a caller that holds the jobs'
 // ByStart order: it takes the span from that order and sorts nothing.
+// It is the one offline form of Observation 2.1; online.RatioTracker
+// keeps the same bound incrementally over a stream's admitted arrivals.
 func (in Instance) LowerBoundByStart(order []int) int64 {
 	return max(in.ParallelismBound(), SpanByStart(in.Jobs, order))
 }
@@ -203,32 +211,28 @@ func IsByStart(jobs []Job, order []int) bool {
 
 // SpanByStart returns the measure of the union of the intervals of the
 // jobs at the positions order lists, which must come in ByStart order
-// (ByStart(jobs) or any sub-slice of it): one pass, no sort. Empty
-// intervals add nothing, as in interval.Span.
+// (ByStart(jobs) or any sub-slice of it): one pass of interval.Extend,
+// no sort.
 func SpanByStart(jobs []Job, order []int) int64 {
 	var total int64
-	end := int64(math.MinInt64) // the end of the current busy period
+	end := int64(math.MinInt64)
 	for _, p := range order {
-		iv := jobs[p].Interval
-		switch {
-		case iv.Empty():
-		case iv.Start >= end:
-			total += iv.Len()
-			end = iv.End
-		case iv.End > end:
-			total += iv.End - end
-			end = iv.End
-		}
+		total += interval.Extend(&end, jobs[p].Interval)
 	}
 	return total
 }
 
 // ByLenDesc returns the positions of jobs by non-increasing length, then
-// position: the order in which the paper's FirstFit places jobs.
+// position: the order in which the paper's FirstFit places jobs. Like
+// compareByStart, its comparator compares positions only on equal
+// lengths.
 func ByLenDesc(jobs []Job) []int {
 	order := positions(len(jobs))
 	slices.SortFunc(order, func(a, b int) int {
-		return cmp.Or(cmp.Compare(jobs[b].Len(), jobs[a].Len()), cmp.Compare(a, b))
+		if la, lb := jobs[a].Len(), jobs[b].Len(); la != lb {
+			return cmp.Compare(lb, la)
+		}
+		return cmp.Compare(a, b)
 	})
 	return order
 }

@@ -123,6 +123,10 @@ func (startAligned) Choose(open []*Machine, f FlexJob) int64 {
 // Note that a delayed start may leave a gap on its machine; the busy-time
 // cost model charges only busy measure (Schedule.Cost spans the union), so
 // gaps are free, matching the paper's machine-splitting convention.
+//
+// The Result's Summary holds the run's machine and admission statistics
+// and its cost, but no arrival counts, bound or ratio: committed starts
+// need not come in start order, which the incremental bound needs.
 func FlexReplay(g int, flex []FlexJob, pol StartPolicy, st Strategy) (Result, error) {
 	if g < 1 {
 		return Result{}, fmt.Errorf("online: capacity g = %d, need g >= 1", g)
@@ -172,5 +176,7 @@ func FlexReplay(g int, flex []FlexJob, pol StartPolicy, st Strategy) (Result, er
 			s.Assign(p, m)
 		}
 	}
-	return sim.result(s, pol.Name()+"+"+st.Name()), nil
+	sum := sim.summary(pol.Name() + "+" + st.Name())
+	sum.Cost = s.Cost()
+	return Result{Schedule: s, Summary: sum}, nil
 }

@@ -11,13 +11,15 @@
 // flexible job is revealed at its release time and the scheduler commits
 // both a machine and a start time inside the window (see flex.go).
 //
-// The replay harness (Replay) owns the event loop and the machine state:
-// it feeds an instance's jobs through a Strategy in arrival order, opens a
-// machine when a job is placed on no existing one, and closes a machine
-// once the clock passes the end of its last job — a closed machine never
-// accepts further jobs, since restarting it would begin a new busy period
-// and is therefore indistinguishable from opening a fresh machine.
-// Strategies are pure placement policies over the currently-open machines.
+// A Session owns the event loop and the machine state: it feeds arrivals
+// through a Strategy in start order, opens a machine when a job is placed
+// on no existing one, and closes a machine once the clock passes the end
+// of its last job — a closed machine never accepts further jobs, since
+// restarting it would begin a new busy period and is therefore
+// indistinguishable from opening a fresh machine. The replay harness
+// (Replay) is a Session fed a whole instance in start order, so a stream
+// and the replay of its instance are one computation. Strategies are pure
+// placement policies over the currently-open machines.
 //
 // Machine threads are backed by interval treaps (internal/itree), the same
 // structure behind core.FirstFit, so a fit check against an open
@@ -144,27 +146,16 @@ type BudgetSetter interface {
 	SetBudget(budget int64)
 }
 
-// Result captures one online run.
+// Result captures one online run: the committed schedule and the run's
+// Summary, whose fields it promotes. Cost is Schedule.Cost(), and
+// Rejected counts arrivals declined by admission control (0 for the
+// non-rejecting strategies).
 type Result struct {
 	// Schedule is the committed assignment over the replayed instance; it
 	// always passes Validate and schedules every admitted job (every job,
 	// unless the strategy applies admission control).
 	Schedule core.Schedule
-	// Strategy is the name of the policy that produced the run.
-	Strategy string
-	// Cost is the total busy time Schedule.Cost().
-	Cost int64
-	// MachinesOpened counts machines ever opened.
-	MachinesOpened int
-	// PeakOpen is the maximum number of simultaneously open machines.
-	PeakOpen int
-	// Rejected counts arrivals declined by admission control (0 for the
-	// non-rejecting strategies).
-	Rejected int
-	// AdmittedWeight and RejectedWeight split the stream's total weight
-	// by the admission decision.
-	AdmittedWeight int64
-	RejectedWeight int64
+	Summary
 }
 
 // CompetitiveVs returns Cost/offline, the empirical competitive ratio
@@ -185,19 +176,29 @@ func Replay(in job.Instance, st Strategy) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, err
 	}
-	sim := newSimulator(in.G)
+	return ReplayByStart(in, job.ByStart(in.Jobs), st)
+}
+
+// ReplayByStart is Replay for a caller that has validated in and holds
+// its ByStart order: it offers the jobs to one Session in that order, so
+// the Result's Summary, lower bound and ratio included, is the one a
+// stream of the same arrivals closes with.
+func ReplayByStart(in job.Instance, order []int, st Strategy) (Result, error) {
+	sess, err := NewSession(in.G, st)
+	if err != nil {
+		return Result{}, err
+	}
 	s := core.NewSchedule(in)
-	for _, p := range job.ByStart(in.Jobs) {
-		sim.advance(in.Jobs[p].Start())
-		pl, err := sim.place(in.Jobs[p], st)
+	for _, p := range order {
+		ev, err := sess.Offer(in.Jobs[p])
 		if err != nil {
 			return Result{}, err
 		}
-		if !pl.Rejected {
-			s.Assign(p, pl.Machine)
+		if !ev.Rejected {
+			s.Assign(p, ev.Machine)
 		}
 	}
-	return sim.result(s, st.Name()), nil
+	return Result{Schedule: s, Summary: sess.Summary()}, nil
 }
 
 // Placement describes how the harness routed one arrival: the machine it
@@ -217,9 +218,10 @@ type Placement struct {
 	Marginal int64
 }
 
-// simulator is the event-driven machine state shared by Replay, FlexReplay
-// and Session: the clock advances with arrivals, machines close as the
-// clock passes their busy end, and each placement goes through a Strategy.
+// simulator is the event-driven machine state shared by Session (and so
+// Replay) and FlexReplay: the clock advances with arrivals, machines
+// close as the clock passes their busy end, and each placement goes
+// through a Strategy.
 type simulator struct {
 	g              int
 	clock          int64
@@ -282,15 +284,15 @@ func (sim *simulator) place(j job.Job, st Strategy) (Placement, error) {
 	return Placement{Machine: m.id, Opened: true, Marginal: j.Interval.Len()}, nil
 }
 
-func (sim *simulator) result(s core.Schedule, name string) Result {
-	return Result{
-		Schedule:       s,
+// summary returns the statistics the simulator keeps itself: machines
+// and admission counts, under the strategy's name.
+func (sim *simulator) summary(name string) Summary {
+	return Summary{
 		Strategy:       name,
-		Cost:           s.Cost(),
-		MachinesOpened: sim.opened,
-		PeakOpen:       sim.peakOpen,
 		Rejected:       sim.rejected,
 		AdmittedWeight: sim.admittedWeight,
 		RejectedWeight: sim.rejectedWeight,
+		MachinesOpened: sim.opened,
+		PeakOpen:       sim.peakOpen,
 	}
 }

@@ -2,8 +2,8 @@ package online
 
 import (
 	"fmt"
+	"math"
 
-	"repro/internal/core"
 	"repro/internal/interval"
 	"repro/internal/job"
 	"repro/internal/safemath"
@@ -12,21 +12,20 @@ import (
 
 // RatioTracker maintains the Observation 2.1 lower bound, the running
 // busy-time cost and their ratio incrementally, one admitted arrival at a
-// time — the per-event counterpart of Report's post-hoc computation, so a
+// time: the incremental form of job.Instance.LowerBoundByStart, so a
 // streaming session can attach a live competitive ratio to every event
 // without retaining the jobs.
 //
 // Observe requires non-decreasing start times (the arrival order Session
 // enforces): under that order the union of admitted intervals grows at a
-// single frontier, so span(J) is maintainable in O(1) per event, and every
-// machine's busy period stays contiguous, so summing placement marginals
-// reproduces Schedule.Cost exactly.
+// single frontier, so span(J) is one interval.Extend step per event, and
+// every machine's busy period stays contiguous, so summing placement
+// marginals reproduces Schedule.Cost exactly.
 type RatioTracker struct {
 	g        int64
 	totalLen int64 // Σ len over admitted jobs (parallelism bound numerator)
 	covered  int64 // measure of the union of admitted intervals
 	frontier int64 // right edge of the union seen so far
-	started  bool
 	cost     int64 // Σ placement marginals = total busy time
 }
 
@@ -35,29 +34,18 @@ func NewRatioTracker(g int) *RatioTracker {
 	if g < 1 {
 		panic(fmt.Sprintf("online: NewRatioTracker(%d): need g >= 1", g))
 	}
-	return &RatioTracker{g: int64(g)}
+	return &RatioTracker{g: int64(g), frontier: math.MinInt64}
 }
 
 // Observe records one admitted arrival: its interval (start must be >= every
 // earlier observed start) and the busy time its placement added.
 func (t *RatioTracker) Observe(iv interval.Interval, marginal int64) {
-	// Σ len saturates rather than wraps: a stream of ~4M wire-capped
+	// The sums saturate rather than wrap: a stream of ~4M wire-capped
 	// (2^40) lengths is enough to pass MaxInt64, and a wrapped total
 	// would report a bogus competitive ratio instead of a clamped one.
 	t.totalLen = safemath.SatAdd(t.totalLen, iv.Len())
 	t.cost = safemath.SatAdd(t.cost, marginal)
-	switch {
-	case !t.started:
-		t.covered = iv.Len()
-		t.frontier = iv.End
-		t.started = true
-	case iv.Start >= t.frontier:
-		t.covered = safemath.SatAdd(t.covered, iv.Len())
-		t.frontier = iv.End
-	case iv.End > t.frontier:
-		t.covered = safemath.SatAdd(t.covered, safemath.SatSub(iv.End, t.frontier))
-		t.frontier = iv.End
-	}
+	t.covered = safemath.SatAdd(t.covered, interval.Extend(&t.frontier, iv))
 }
 
 // Cost returns the running busy time of the committed placements.
@@ -103,9 +91,9 @@ type Event struct {
 	Open int
 }
 
-// Summary is a session's closing report — the streamed counterpart of the
-// final line of a Replay-based run, with the lower bound and ratio taken
-// over the admitted arrivals.
+// Summary is a session's closing report, with the lower bound and ratio
+// taken over the admitted arrivals. A Replay's Result carries the
+// Summary of the session it ran.
 type Summary struct {
 	Strategy       string
 	Arrivals       int
@@ -121,10 +109,10 @@ type Summary struct {
 }
 
 // Session is an incremental online run: arrivals are offered one at a
-// time, each returning its placement event with live telemetry, instead
-// of replaying a complete instance. It backs the daemon's streaming
-// endpoint; the hot path allocates only when a machine opens, and the
-// session retains no per-job state beyond the open machines.
+// time, each returning its placement event with live telemetry. It backs
+// the daemon's streaming endpoint and Replay; the hot path allocates
+// only when a machine opens, and the session retains no per-job state
+// beyond the open machines.
 //
 // A Session is not safe for concurrent use; the streaming server drives
 // one per connection.
@@ -204,57 +192,11 @@ func (s *Session) Clock() int64 { return s.lastStart }
 // point; the streaming endpoint emits it once the client's arrival stream
 // ends.
 func (s *Session) Summary() Summary {
-	return Summary{
-		Strategy:       s.st.Name(),
-		Arrivals:       s.arrivals,
-		Admitted:       s.arrivals - s.sim.rejected,
-		Rejected:       s.sim.rejected,
-		AdmittedWeight: s.sim.admittedWeight,
-		RejectedWeight: s.sim.rejectedWeight,
-		Cost:           s.tracker.Cost(),
-		MachinesOpened: s.sim.opened,
-		PeakOpen:       s.sim.peakOpen,
-		LowerBound:     s.tracker.LowerBound(),
-		Ratio:          s.tracker.Ratio(),
-	}
-}
-
-// Summarize derives the Summary an equivalent streaming session would
-// close with from an offline Replay result: cost and machine statistics
-// from the run, lower bound and ratio over the admitted (scheduled) jobs.
-// The streaming e2e tests and the E17 experiment compare this against a
-// live Session byte for byte.
-func (r Result) Summarize() Summary {
-	in := r.Schedule.Instance
-	admitted := job.Instance{G: in.G}
-	var admittedW, rejectedW int64
-	// Replay always sizes Machine to the instance; a hand-built Result
-	// that does not cannot be charged per job, so every job counts as
-	// rejected (mirroring ResultOf's leniency toward malformed inputs).
-	complete := len(r.Schedule.Machine) == len(in.Jobs)
-	for i, j := range in.Jobs {
-		if complete && r.Schedule.Machine[i] != core.Unscheduled {
-			admitted.Jobs = append(admitted.Jobs, j)
-			admittedW = safemath.SatAdd(admittedW, j.Weight)
-		} else {
-			rejectedW = safemath.SatAdd(rejectedW, j.Weight)
-		}
-	}
-	var lb int64
-	if len(admitted.Jobs) > 0 {
-		lb = admitted.LowerBound()
-	}
-	return Summary{
-		Strategy:       r.Strategy,
-		Arrivals:       len(in.Jobs),
-		Admitted:       len(admitted.Jobs),
-		Rejected:       len(in.Jobs) - len(admitted.Jobs),
-		AdmittedWeight: admittedW,
-		RejectedWeight: rejectedW,
-		Cost:           r.Cost,
-		MachinesOpened: r.MachinesOpened,
-		PeakOpen:       r.PeakOpen,
-		LowerBound:     lb,
-		Ratio:          stats.Ratio(r.Cost, lb),
-	}
+	sum := s.sim.summary(s.st.Name())
+	sum.Arrivals = s.arrivals
+	sum.Admitted = s.arrivals - s.sim.rejected
+	sum.Cost = s.tracker.Cost()
+	sum.LowerBound = s.tracker.LowerBound()
+	sum.Ratio = s.tracker.Ratio()
+	return sum
 }

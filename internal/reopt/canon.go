@@ -109,20 +109,20 @@ func CanonicalByStart(in job.Instance, order []int) (jobs []CanonJob, perm []int
 // schedules). The digest is hex SHA-256.
 func FingerprintCanon(g int, jobs []CanonJob, scope string) string {
 	h := sha256.New()
-	var buf [8]byte
-	word := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
 	h.Write([]byte(scope))
 	h.Write([]byte{0})
-	word(int64(g))
-	word(int64(len(jobs)))
+	// Then the little-endian words g and len(jobs), and per job start,
+	// end, weight and demand: one Write per job.
+	var buf [32]byte
+	binary.LittleEndian.PutUint64(buf[0:], uint64(g))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(len(jobs)))
+	h.Write(buf[:16])
 	for _, j := range jobs {
-		word(j.Start)
-		word(j.End)
-		word(j.Weight)
-		word(j.Demand)
+		binary.LittleEndian.PutUint64(buf[0:], uint64(j.Start))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(j.End))
+		binary.LittleEndian.PutUint64(buf[16:], uint64(j.Weight))
+		binary.LittleEndian.PutUint64(buf[24:], uint64(j.Demand))
+		h.Write(buf[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

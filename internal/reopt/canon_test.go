@@ -120,6 +120,38 @@ func TestFingerprintScope(t *testing.T) {
 	}
 }
 
+// TestFingerprintDigests pins the digest bytes: every result ID embeds
+// the first 12 hex digits of its fingerprint, so a change to the hashed
+// words, their order or their encoding would break every cached ID a
+// client holds.
+func TestFingerprintDigests(t *testing.T) {
+	few := job.Instance{G: 3, Jobs: []job.Job{
+		{ID: 0, Interval: interval.Interval{Start: 5, End: 12}, Weight: 2, Demand: 1},
+		{ID: 1, Interval: interval.Interval{Start: 3, End: 9}, Weight: 1, Demand: 2},
+		{ID: 2, Interval: interval.Interval{Start: 5, End: 12}, Weight: 4, Demand: 3},
+		{ID: 3, Interval: interval.Interval{Start: 20, End: 21}, Weight: 7, Demand: 1},
+	}}
+	cases := []struct {
+		in    job.Instance
+		scope string
+		want  string
+	}{
+		{job.Instance{G: 2}, "", "4c13d75eafdf26e19f48550bd104be236f9ed89c85012d0242ba4d1bb889542e"},
+		{job.Instance{G: 2}, "first-fit", "960ab6418c6a9c0ee41a869d4fa084b6acf1b37005b6edd95b5c3f3060b15a9d"},
+		{few, "", "e245d5ef0a0f93511b1306f3e35146ab2e743e820619b20ebaeb3c9ee6780311"},
+		{few, "first-fit", "31726f695d7083609dd12c1e9628056c798c0fc204b5a35c374256bfce243e95"},
+	}
+	for _, c := range cases {
+		jobs, _ := reopt.Canonical(c.in)
+		if got := reopt.FingerprintCanon(c.in.G, jobs, c.scope); got != c.want {
+			t.Errorf("%d jobs, scope %q: digest %s, want %s", len(c.in.Jobs), c.scope, got, c.want)
+		}
+		if c.scope == "" && reopt.Fingerprint(c.in) != c.want {
+			t.Errorf("%d jobs: Fingerprint %s, want %s", len(c.in.Jobs), reopt.Fingerprint(c.in), c.want)
+		}
+	}
+}
+
 func TestSymDiff(t *testing.T) {
 	a := job.NewInstance(2, [2]int64{0, 10}, [2]int64{5, 15}, [2]int64{8, 20})
 	b := job.NewInstance(2, [2]int64{0, 10}, [2]int64{5, 15}, [2]int64{9, 20})

@@ -228,8 +228,8 @@ func (r Result) Certificate() error {
 		return fmt.Errorf("busytime: reported %d scheduled jobs, schedule has %d", r.Scheduled, got)
 	}
 	if r.Scheduled == len(in.Jobs) && len(in.Jobs) > 0 {
-		if b := core.BoundsByStart(in, order); !b.Contains(r.Cost) {
-			return fmt.Errorf("busytime: cost %d outside Observation 2.1 bounds [%d, %d]", r.Cost, b.Lower(), b.Length)
+		if lb, length := in.LowerBoundByStart(order), in.TotalLen(); r.Cost < lb || r.Cost > length {
+			return fmt.Errorf("busytime: cost %d outside Observation 2.1 bounds [%d, %d]", r.Cost, lb, length)
 		}
 	}
 	if r.Kind == KindMaxThroughput && r.Cost > r.Budget {
@@ -262,27 +262,34 @@ func (r Result) Certificate() error {
 // only a schedule (e.g. one parsed from JSON) can use Certificate and
 // the structured statistics without re-running a Solver.
 func ResultOf(algorithm string, s Schedule) Result {
-	in := s.Instance
-	order := job.ByStart(in.Jobs)
+	order := job.ByStart(s.Instance.Jobs)
+	return resultOf(s, order, igraph.ClassifyByStart(s.Instance.Jobs, order), algorithm, KindMinBusy)
+}
+
+// resultOf assembles the Result of a 1-D schedule whose instance has the
+// ByStart order order: the schedule's cost, throughput and machines, and
+// the instance's Observation 2.1 bound with the ratio against it. Every
+// 1-D solve path and ResultOf build their Result here.
+func resultOf(sch Schedule, order []int, class Class, algorithm string, kind ProblemKind) Result {
+	in := sch.Instance
 	res := Result{
-		Schedule:   s,
+		Schedule:   sch,
 		Algorithm:  algorithm,
-		Kind:       KindMinBusy,
-		Class:      igraph.ClassifyByStart(in.Jobs, order),
+		Kind:       kind,
+		Class:      class,
 		N:          len(in.Jobs),
 		LowerBound: in.LowerBoundByStart(order),
 		order:      order,
 	}
 	// A machine array that does not match the job list (e.g. truncated or
 	// padded JSON) cannot be charged for cost or throughput; leave the
-	// stats zero so Certificate reports the Validate error instead of
-	// panicking here.
-	if len(s.Machine) != len(in.Jobs) {
+	// stats zero so Certificate reports the Validate error.
+	if len(sch.Machine) != len(in.Jobs) {
 		return res
 	}
-	res.Cost = s.CostByStart(order)
-	res.Scheduled = s.Throughput()
-	res.Machines = s.Machines()
+	res.Cost = sch.CostByStart(order)
+	res.Scheduled = sch.Throughput()
+	res.Machines = sch.Machines()
 	res.RatioVsBound = stats.Ratio(res.Cost, res.LowerBound)
 	return res
 }
@@ -520,16 +527,14 @@ func (s *Solver) dispatch(ctx context.Context, req Request) (Result, error) {
 // instance is already validated, and order is its ByStart order. Each
 // phase runs under its own span: "classify" (class detection),
 // "placement" (the algorithm itself), "local-search" (when enabled)
-// and "bound" (cost and Observation 2.1).
+// and "bound" (the Result's cost, statistics and Observation 2.1 bound).
 func (s *Solver) solve1D(ctx context.Context, req Request, kind ProblemKind, order []int) (Result, error) {
-	in := req.Instance
 	_, csp := trace.Start(ctx, "classify")
-	class := igraph.ClassifyByStart(in.Jobs, order)
+	class := igraph.ClassifyByStart(req.Instance.Jobs, order)
 	csp.End()
 
-	var res Result
 	pctx, psp := trace.Start(ctx, "placement")
-	sch, name, admittedBound, err := s.place(pctx, req, kind, class, order, &res)
+	sch, name, budget, run, err := s.place(pctx, req, kind, class, order)
 	if err == nil {
 		psp.SetAttr("algorithm", name)
 	}
@@ -545,80 +550,59 @@ func (s *Solver) solve1D(ctx context.Context, req Request, kind ProblemKind, ord
 		name += "+local-search"
 	}
 
-	// Every algorithm returns a schedule of in itself, so order is the
-	// schedule's order too.
+	// Every algorithm returns a schedule of the instance itself, so order
+	// is the schedule's order too.
 	_, bsp := trace.Start(ctx, "bound")
-	cost := sch.CostByStart(order)
-	lb := in.LowerBoundByStart(order)
-	bsp.End()
-	if admittedBound >= 0 {
-		lb = admittedBound
+	res := resultOf(sch, order, class, name, kind)
+	res.Budget = budget
+	if run != nil {
+		res.MachinesOpened, res.PeakOpen, res.Rejected = run.MachinesOpened, run.PeakOpen, run.Rejected
+		if run.Rejected > 0 {
+			// An admission-control run is only charged for what it
+			// admitted, so its Observation 2.1 bound (and the ratio
+			// against it) covers the admitted arrivals alone, as the
+			// run's tracker kept it: the full-instance bound would push
+			// the ratio below 1. A stream of the same arrivals reports
+			// the same lower_bound.
+			res.LowerBound = run.LowerBound
+			res.RatioVsBound = stats.Ratio(res.Cost, res.LowerBound)
+		}
 	}
-	res.Schedule = sch
-	res.Algorithm = name
-	res.Kind = kind
-	res.Class = class
-	res.Cost = cost
-	res.Scheduled = sch.Throughput()
-	res.N = len(in.Jobs)
-	res.Machines = sch.Machines()
-	res.LowerBound = lb
-	res.RatioVsBound = stats.Ratio(cost, lb)
-	res.order = order
+	bsp.End()
 	return res, nil
 }
 
-// place runs the core placement for one 1-D kind and fills the
-// kind-specific Result statistics in place. The returned admittedBound
-// is ≥ 0 only for online runs with rejections, where the Observation
-// 2.1 bound must cover the admitted arrivals alone.
-func (s *Solver) place(ctx context.Context, req Request, kind ProblemKind, class Class, order []int, res *Result) (sch Schedule, name string, admittedBound int64, err error) {
+// place runs the core placement for one 1-D kind. budget is the budget
+// the run was bound by (0 when none applied), and run is the online
+// run's summary (nil for the offline kinds).
+func (s *Solver) place(ctx context.Context, req Request, kind ProblemKind, class Class, order []int) (sch Schedule, name string, budget int64, run *online.Summary, err error) {
 	in := req.Instance
-	admittedBound = -1
 	switch kind {
 	case KindMinBusy:
 		sch, name, err = s.solveMinBusy(ctx, in, class, order)
 	case KindMaxThroughput:
-		budget := req.Budget
+		budget = req.Budget
 		if budget == 0 {
 			budget = s.budget
 		}
 		if budget < 0 {
-			return Schedule{}, "", -1, fmt.Errorf("busytime: %s request needs a non-negative budget, got %d", kind, budget)
+			return Schedule{}, "", 0, nil, fmt.Errorf("busytime: %s request needs a non-negative budget, got %d", kind, budget)
 		}
-		res.Budget = budget
 		sch, name, err = s.solveThroughput(ctx, in, budget, class)
 	case KindOnline:
 		// Only the request's own budget reaches admission control: the
 		// Solver-level WithBudget default stays a KindMaxThroughput
 		// fallback, as its contract documents.
-		budget := req.Budget
-		var onlineRes online.Result
-		var budgetApplied bool
-		onlineRes, name, budgetApplied, err = s.solveOnline(ctx, in, budget, class)
-		sch = onlineRes.Schedule
-		res.MachinesOpened = onlineRes.MachinesOpened
-		res.PeakOpen = onlineRes.PeakOpen
-		res.Rejected = onlineRes.Rejected
-		if budgetApplied {
-			res.Budget = budget
-		}
-		if err == nil && onlineRes.Rejected > 0 {
-			// An admission-control run is only charged for what it
-			// admitted, so its Observation 2.1 bound (and the ratio
-			// against it) must cover the admitted arrivals alone —
-			// the full-instance bound would push the ratio below 1.
-			// This matches the lower_bound the streaming endpoint's
-			// per-session tracker reports for the same run.
-			admittedBound = onlineRes.Summarize().LowerBound
-		}
+		var r online.Result
+		r, name, budget, err = s.solveOnline(ctx, in, req.Budget, class, order)
+		sch, run = r.Schedule, &r.Summary
 	default:
-		return Schedule{}, "", -1, fmt.Errorf("busytime: unsupported problem kind %s", kind)
+		return Schedule{}, "", 0, nil, fmt.Errorf("busytime: unsupported problem kind %s", kind)
 	}
 	if err != nil {
-		return Schedule{}, "", -1, err
+		return Schedule{}, "", 0, nil, err
 	}
-	return sch, name, admittedBound, nil
+	return sch, name, budget, run, nil
 }
 
 // nearLimit is the symmetric-difference threshold under which a cached
@@ -696,7 +680,7 @@ func (s *Solver) serveCacheHit(e reopt.Entry, in Instance, order, perm []int) (R
 	if err != nil {
 		return Result{}, err
 	}
-	res := s.assembleMinBusy(sch, in, order, e.Class, e.Algorithm)
+	res := resultOf(sch, order, e.Class, e.Algorithm, KindMinBusy)
 	res.ID = e.ID
 	res.CacheOutcome = CacheHit
 	return res, nil
@@ -711,7 +695,7 @@ func (s *Solver) serveRepair(ctx context.Context, e reopt.Entry, in Instance, or
 	if err != nil {
 		return Result{}, false
 	}
-	res := s.assembleMinBusy(rep.Schedule, in, order, igraph.ClassifyByStart(in.Jobs, order), "reopt-repair")
+	res := resultOf(rep.Schedule, order, igraph.ClassifyByStart(in.Jobs, order), "reopt-repair", KindMinBusy)
 	res.BaseID = e.ID
 	res.Transition = rep.Transition
 	res.CacheOutcome = CacheRepair
@@ -722,26 +706,6 @@ func (s *Solver) serveRepair(ctx context.Context, e reopt.Entry, in Instance, or
 		})
 	}
 	return res, true
-}
-
-// assembleMinBusy builds a KindMinBusy Result around a total schedule of
-// the submitted instance, whose ByStart order is order.
-func (s *Solver) assembleMinBusy(sch Schedule, in Instance, order []int, class Class, algorithm string) Result {
-	cost := sch.CostByStart(order)
-	lb := in.LowerBoundByStart(order)
-	return Result{
-		Schedule:     sch,
-		Algorithm:    algorithm,
-		Kind:         KindMinBusy,
-		Class:        class,
-		Cost:         cost,
-		Scheduled:    sch.Throughput(),
-		N:            len(in.Jobs),
-		Machines:     sch.Machines(),
-		LowerBound:   lb,
-		RatioVsBound: stats.Ratio(cost, lb),
-		order:        order,
-	}
 }
 
 // solveMinBusy runs a pinned algorithm, the exact oracle below the
@@ -832,11 +796,12 @@ func (s *Solver) solveThroughput(ctx context.Context, in Instance, budget int64,
 	return Schedule{}, "", fmt.Errorf("busytime: no registered max-throughput algorithm accepted the instance (class %s)", class)
 }
 
-// solveOnline replays the instance through the pinned strategy, or the
-// strongest registered one for the instance's class. A positive budget is handed to strategies that
-// implement online.BudgetSetter (the admission-control family); the
-// returned flag reports whether it actually applied, so the Result only
-// echoes a budget the run was really bound by. Pinning a budgeted
+// solveOnline replays the instance, in its ByStart order, through the
+// pinned strategy, or the strongest registered one for the instance's
+// class. A positive budget is handed to strategies that implement
+// online.BudgetSetter (the admission-control family); the returned
+// budget is that budget when it applied and 0 otherwise, so the Result
+// only echoes a budget the run was really bound by. Pinning a budgeted
 // strategy WITHOUT a budget is deliberately allowed at this level and
 // degenerates to its unbudgeted placement policy (BestFit): the registry
 // constructs strategies parameter-free, and the conformance harness,
@@ -844,36 +809,36 @@ func (s *Solver) solveThroughput(ctx context.Context, in Instance, budget int64,
 // total schedule here. The user-facing surfaces (busyd's /v1/stream,
 // busysim online) refuse that combination instead, because there the silent
 // degeneration would masquerade as admission control.
-func (s *Solver) solveOnline(ctx context.Context, in Instance, budget int64, class Class) (online.Result, string, bool, error) {
+func (s *Solver) solveOnline(ctx context.Context, in Instance, budget int64, class Class, order []int) (online.Result, string, int64, error) {
 	name := s.algorithm
 	if name == "" {
 		alg, err := registry.For(registry.Online, class)
 		if err != nil {
-			return online.Result{}, "", false, err
+			return online.Result{}, "", 0, err
 		}
 		name = alg.Name
 	}
 	alg, err := registry.LookupKind(registry.Online, name)
 	if err != nil {
-		return online.Result{}, "", false, err
+		return online.Result{}, "", 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return online.Result{}, "", false, err
+		return online.Result{}, "", 0, err
 	}
 	st := alg.NewStrategy()
-	budgetApplied := false
+	var applied int64
 	if budget > 0 {
 		bs, ok := st.(online.BudgetSetter)
 		if !ok {
 			// Dropping the budget silently would let the caller believe
 			// admission control ran; refuse, like the serving surfaces do.
-			return online.Result{}, "", false, fmt.Errorf("busytime: online strategy %s does not support a budget (use online-budget)", alg.Name)
+			return online.Result{}, "", 0, fmt.Errorf("busytime: online strategy %s does not support a budget (use online-budget)", alg.Name)
 		}
 		bs.SetBudget(budget)
-		budgetApplied = true
+		applied = budget
 	}
-	res, err := online.Replay(in, st)
-	return res, alg.Name, budgetApplied, err
+	res, err := online.ReplayByStart(in, order, st)
+	return res, alg.Name, applied, err
 }
 
 func (s *Solver) solveRect(ctx context.Context, req Request) (Result, error) {
