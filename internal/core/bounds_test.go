@@ -22,6 +22,27 @@ func TestSavingToCostRatio(t *testing.T) {
 	}
 }
 
+func TestBoundsOf(t *testing.T) {
+	in := job.NewInstance(2, [2]int64{0, 10}, [2]int64{0, 10}, [2]int64{20, 30})
+	order := job.ByStart(in.Jobs)
+	if in.Span() != 20 || in.ParallelismBound() != 15 || in.TotalLen() != 30 {
+		t.Fatalf("span = %d, parallelism bound = %d, length = %d",
+			in.Span(), in.ParallelismBound(), in.TotalLen())
+	}
+	if lb := in.LowerBoundByStart(order); lb != 20 || lb != in.LowerBound() {
+		t.Errorf("LowerBoundByStart = %d, LowerBound = %d, want 20", lb, in.LowerBound())
+	}
+	// Both ends of [LowerBound, TotalLen] are reached: FirstFit pairs the
+	// two [0,10) jobs and reuses the machine for [20,30); one job per
+	// machine pays every job's length.
+	if c := FirstFit(in).CostByStart(order); c != in.LowerBound() {
+		t.Errorf("FirstFit cost = %d, want lower bound %d", c, in.LowerBound())
+	}
+	if c := NaivePerJob(in).CostByStart(order); c != in.TotalLen() {
+		t.Errorf("NaivePerJob cost = %d, want length %d", c, in.TotalLen())
+	}
+}
+
 func TestBoundsHoldForSchedules(t *testing.T) {
 	in := job.NewInstance(2, [2]int64{0, 10}, [2]int64{5, 15}, [2]int64{8, 20})
 	for _, s := range []Schedule{NaivePerJob(in), FirstFit(in)} {
