@@ -160,8 +160,9 @@ var (
 
 // CompareOnline replays the instance through each strategy and reports
 // each run's cost against the offline auto dispatch of NewSolver(), the
-// Observation 2.1 lower bound and, when the instance has at most
-// exact.MaxN jobs, the exact optimum. It is the harness behind the
+// run's own Observation 2.1 lower bound (over the arrivals it admitted,
+// as Solver.Solve and streams report it) and, when the instance has at
+// most exact.MaxN jobs, the exact optimum. It is the harness behind the
 // competitive-ratio experiments and busysim online.
 func CompareOnline(in Instance, strategies ...OnlineStrategy) ([]OnlineReport, error) {
 	ctx := context.TODO()
@@ -178,7 +179,6 @@ func CompareOnline(in Instance, strategies ...OnlineStrategy) ([]OnlineReport, e
 		}
 		exactCost, hasExact = s.Cost(), true
 	}
-	lb := in.LowerBound()
 
 	reports := make([]OnlineReport, 0, len(strategies))
 	for _, st := range strategies {
@@ -196,7 +196,7 @@ func CompareOnline(in Instance, strategies ...OnlineStrategy) ([]OnlineReport, e
 			OfflineAlg:  offline.Algorithm,
 			ExactCost:   exactCost,
 			HasExact:    hasExact,
-			LowerBound:  lb,
+			LowerBound:  res.LowerBound,
 		})
 	}
 	return reports, nil

@@ -195,3 +195,30 @@ func TestCompareReports(t *testing.T) {
 		t.Errorf("exact oracle claimed on n=40: %+v", reports[0])
 	}
 }
+
+// TestCompareOnlineAdmittedBound checks that a run which rejects
+// arrivals is measured against the bound of the arrivals it admitted,
+// the bound Solver.Solve reports for the same strategy and budget, so
+// its cost never reads below its bound.
+func TestCompareOnlineAdmittedBound(t *testing.T) {
+	in := busytime.GenerateWeightedArrivals(3, busytime.WorkloadConfig{N: 40, G: 3, MaxTime: 200, MaxLen: 50})
+	budget := in.LowerBound() * 3 / 2
+	st := onlineStrategy(t, "online-budget")
+	st.(busytime.OnlineBudgetSetter).SetBudget(budget)
+	reports, err := busytime.CompareOnline(in, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := reports[0]
+	if r.Rejected == 0 {
+		t.Fatalf("online-budget at budget %d rejected nothing; the check needs rejections", budget)
+	}
+	if r.VsLowerBound() < 1 {
+		t.Errorf("cost %d under lower bound %d: vs-LB %.3f", r.Cost, r.LowerBound, r.VsLowerBound())
+	}
+	res := solve(t, busytime.Request{Instance: in, Kind: busytime.KindOnline, Budget: budget},
+		busytime.WithAlgorithm("online-budget"))
+	if r.LowerBound != res.LowerBound || r.Cost != res.Cost {
+		t.Errorf("report cost %d bound %d, Solver cost %d bound %d", r.Cost, r.LowerBound, res.Cost, res.LowerBound)
+	}
+}

@@ -55,15 +55,6 @@ func MinBusyRect(ctx context.Context, in job.RectInstance) (core.RectSchedule, e
 	return s, nil
 }
 
-// MinBusyRectCost returns only the optimal 2-D cost.
-func MinBusyRectCost(in job.RectInstance) (int64, error) {
-	s, err := MinBusyRect(context.Background(), in)
-	if err != nil {
-		return 0, err
-	}
-	return s.Cost(), nil
-}
-
 // rectBound is the branch-and-bound state: jobs are assigned in order,
 // machines appear in first-use order (so each set partition is visited
 // exactly once), and a branch is cut as soon as the partial cost —

@@ -17,7 +17,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/localsearch"
 	"repro/internal/online"
 	"repro/internal/parallel"
-	"repro/internal/rect"
 	"repro/internal/registry"
 	"repro/internal/setcover"
 	"repro/internal/stats"
@@ -40,30 +38,27 @@ import (
 	"repro/internal/workload"
 )
 
-// minBusySolve resolves a registered MinBusy algorithm's solve hook by
-// canonical name. Experiments call algorithms through the registry so the
-// measured code path is exactly what the Solver dispatches.
-func minBusySolve(name string) func(job.Instance) (core.Schedule, error) {
-	alg, err := registry.LookupKind(registry.MinBusy, name)
-	if err != nil {
-		panic(err)
-	}
-	return func(in job.Instance) (core.Schedule, error) {
-		return alg.SolveMinBusy(context.Background(), in)
-	}
-}
-
-// mustMinBusy is minBusySolve for experiments that generate instances the
-// algorithm accepts by construction, panicking on rejection.
-func mustMinBusy(name string) func(job.Instance) core.Schedule {
-	solve := minBusySolve(name)
+// must adapts a MinBusy solve hook to a solver that panics on rejection:
+// experiments generate instances the algorithm accepts by construction.
+func must(solve func(context.Context, job.Instance) (core.Schedule, error)) func(job.Instance) core.Schedule {
 	return func(in job.Instance) core.Schedule {
-		s, err := solve(in)
+		s, err := solve(context.Background(), in)
 		if err != nil {
 			panic(err)
 		}
 		return s
 	}
+}
+
+// minBusy resolves a registered MinBusy algorithm by canonical name.
+// Experiments call algorithms through the registry so the measured code
+// path is exactly what the Solver dispatches.
+func minBusy(name string) func(job.Instance) core.Schedule {
+	alg, err := registry.LookupKind(registry.MinBusy, name)
+	if err != nil {
+		panic(err)
+	}
+	return must(alg.SolveMinBusy)
 }
 
 // autoMinBusy is the Solver's MinBusy auto dispatch, the schedule an
@@ -114,25 +109,37 @@ func ratioStats(ratios []float64) (mean, max float64) {
 	return s.Mean, s.Max
 }
 
+// vsOpt generates the instances of seeds 0…seeds−1 in parallel, solves
+// each once with exact.MinBusyCost and with every solver, and returns one
+// column of cost/OPT ratios per solver, in seed order.
+func vsOpt(seeds int, gen func(seed int64) job.Instance, solvers ...func(job.Instance) core.Schedule) [][]float64 {
+	cols := make([][]float64, len(solvers))
+	for i := range cols {
+		cols[i] = make([]float64, seeds)
+	}
+	parallel.ForEach(seeds, 0, func(seed int) {
+		in := gen(int64(seed))
+		opt, err := exact.MinBusyCost(in)
+		if err != nil {
+			panic(err)
+		}
+		for i, solve := range solvers {
+			cols[i][seed] = stats.Ratio(solve(in).Cost(), opt)
+		}
+	})
+	return cols
+}
+
 // E1 measures Lemma 3.1: CliqueMatching is optimal on clique instances
 // with g = 2 (every measured ratio must be exactly 1).
 func E1(seeds int) Result {
 	t := &stats.Table{Header: []string{"n", "instances", "mean ratio", "max ratio"}}
-	cliqueMatching := minBusySolve("clique-matching")
+	cliqueMatching := minBusy("clique-matching")
 	for _, n := range []int{6, 10, 14} {
-		ratios := parallel.Map(seeds, 0, func(seed int) float64 {
-			in := workload.Clique(int64(seed), workload.Config{N: n, G: 2, MaxTime: 200, MaxLen: 60})
-			s, err := cliqueMatching(in)
-			if err != nil {
-				panic(err)
-			}
-			opt, err := exact.MinBusyCost(in)
-			if err != nil {
-				panic(err)
-			}
-			return stats.Ratio(s.Cost(), opt)
-		})
-		mean, max := ratioStats(ratios)
+		ratios := vsOpt(seeds, func(seed int64) job.Instance {
+			return workload.Clique(seed, workload.Config{N: n, G: 2, MaxTime: 200, MaxLen: 60})
+		}, cliqueMatching)
+		mean, max := ratioStats(ratios[0])
 		t.Add(n, seeds, mean, max)
 	}
 	return Result{
@@ -146,23 +153,13 @@ func E1(seeds int) Result {
 // E2 measures Lemma 3.2: CliqueSetCover within g·H_g/(H_g+g−1) on cliques.
 func E2(seeds int) Result {
 	t := &stats.Table{Header: []string{"g", "bound", "mean ratio", "max ratio"}}
-	cliqueSetCover := minBusySolve("clique-set-cover")
+	cliqueSetCover := minBusy("clique-set-cover")
 	for _, g := range []int{2, 3, 4} {
-		hg := setcover.Harmonic(g)
-		bound := float64(g) * hg / (hg + float64(g) - 1)
-		ratios := parallel.Map(seeds, 0, func(seed int) float64 {
-			in := workload.Clique(int64(seed), workload.Config{N: 10, G: g, MaxTime: 200, MaxLen: 60})
-			s, err := cliqueSetCover(in)
-			if err != nil {
-				panic(err)
-			}
-			opt, err := exact.MinBusyCost(in)
-			if err != nil {
-				panic(err)
-			}
-			return stats.Ratio(s.Cost(), opt)
-		})
-		mean, max := ratioStats(ratios)
+		bound := SetCoverBound(g)
+		ratios := vsOpt(seeds, func(seed int64) job.Instance {
+			return workload.Clique(seed, workload.Config{N: 10, G: g, MaxTime: 200, MaxLen: 60})
+		}, cliqueSetCover)
+		mean, max := ratioStats(ratios[0])
 		t.Add(g, bound, mean, max)
 	}
 	return Result{
@@ -177,32 +174,15 @@ func E2(seeds int) Result {
 // compares against the FirstFit baseline of [13] it improves upon.
 func E3(seeds int) Result {
 	t := &stats.Table{Header: []string{"g", "bound", "bestcut mean", "bestcut max", "firstfit mean"}}
-	bestCut := minBusySolve("best-cut")
-	firstFit := mustMinBusy("first-fit")
+	bestCut := minBusy("best-cut")
+	firstFit := minBusy("first-fit")
 	for _, g := range []int{2, 3, 4, 6} {
 		bound := 2 - 1/float64(g)
-		pairs := parallel.Map(seeds, 0, func(seed int) [2]float64 {
-			in := workload.Proper(int64(seed), workload.Config{N: 11, G: g, MaxTime: 200, MaxLen: 40})
-			s, err := bestCut(in)
-			if err != nil {
-				panic(err)
-			}
-			opt, err := exact.MinBusyCost(in)
-			if err != nil {
-				panic(err)
-			}
-			return [2]float64{
-				stats.Ratio(s.Cost(), opt),
-				stats.Ratio(firstFit(in).Cost(), opt),
-			}
-		})
-		var bc, ff []float64
-		for _, p := range pairs {
-			bc = append(bc, p[0])
-			ff = append(ff, p[1])
-		}
-		bcMean, bcMax := ratioStats(bc)
-		ffMean, _ := ratioStats(ff)
+		ratios := vsOpt(seeds, func(seed int64) job.Instance {
+			return workload.Proper(seed, workload.Config{N: 11, G: g, MaxTime: 200, MaxLen: 40})
+		}, bestCut, firstFit)
+		bcMean, bcMax := ratioStats(ratios[0])
+		ffMean, _ := ratioStats(ratios[1])
 		t.Add(g, bound, bcMean, bcMax, ffMean)
 	}
 	return Result{
@@ -217,21 +197,12 @@ func E3(seeds int) Result {
 // instances.
 func E4(seeds int) Result {
 	t := &stats.Table{Header: []string{"n", "g", "instances", "max ratio"}}
-	findBestConsecutive := minBusySolve("find-best-consecutive")
+	findBestConsecutive := minBusy("find-best-consecutive")
 	for _, cfg := range [][2]int{{8, 2}, {12, 3}, {16, 4}} {
-		ratios := parallel.Map(seeds, 0, func(seed int) float64 {
-			in := workload.ProperClique(int64(seed), workload.Config{N: cfg[0], G: cfg[1], MaxTime: 300, MaxLen: 50})
-			s, err := findBestConsecutive(in)
-			if err != nil {
-				panic(err)
-			}
-			opt, err := exact.MinBusyCost(in)
-			if err != nil {
-				panic(err)
-			}
-			return stats.Ratio(s.Cost(), opt)
-		})
-		_, max := ratioStats(ratios)
+		ratios := vsOpt(seeds, func(seed int64) job.Instance {
+			return workload.ProperClique(seed, workload.Config{N: cfg[0], G: cfg[1], MaxTime: 300, MaxLen: 50})
+		}, findBestConsecutive)
+		_, max := ratioStats(ratios[0])
 		t.Add(cfg[0], cfg[1], seeds, max)
 	}
 	return Result{
@@ -412,8 +383,8 @@ func E9(seeds int) Result {
 		run  func(job.Instance) core.Schedule
 	}
 	algs := []alg{
-		{"naive-per-job", mustMinBusy("naive-per-job")},
-		{"first-fit", mustMinBusy("first-fit")},
+		{"naive-per-job", minBusy("naive-per-job")},
+		{"first-fit", minBusy("first-fit")},
 		{"auto", autoMinBusy},
 	}
 	for _, a := range algs {
@@ -482,16 +453,13 @@ func E10(seeds int) Result {
 // E11 measures Observation 3.1 and Proposition 4.1 on one-sided cliques.
 func E11(seeds int) Result {
 	t := &stats.Table{Header: []string{"problem", "instances", "max ratio / min tput ratio"}}
-	oneSidedGreedy := minBusySolve("one-sided-greedy")
+	oneSidedGreedy := minBusy("one-sided-greedy")
 	oneSidedThroughput := throughputSolve("one-sided-throughput")
 	worstMin, worstTput := 1.0, 1.0
 	for seed := 0; seed < seeds; seed++ {
 		for _, sharedStart := range []bool{true, false} {
 			in := workload.OneSided(int64(seed), workload.Config{N: 10, G: 3, MaxTime: 200, MaxLen: 50}, sharedStart)
-			s, err := oneSidedGreedy(in)
-			if err != nil {
-				panic(err)
-			}
+			s := oneSidedGreedy(in)
 			opt, err := exact.MinBusyCost(in)
 			if err != nil {
 				panic(err)
@@ -584,59 +552,23 @@ func E14(seeds int) Result {
 	t := &stats.Table{Header: []string{"ablation", "variant", "mean ratio", "max ratio"}}
 
 	// (a) BestCut offsets.
-	var best, single []float64
-	for seed := 0; seed < seeds; seed++ {
-		in := workload.Proper(int64(seed), workload.Config{N: 11, G: 3, MaxTime: 200, MaxLen: 40})
-		opt, err := exact.MinBusyCost(in)
-		if err != nil {
-			panic(err)
-		}
-		bc, err := core.BestCut(in)
-		if err != nil {
-			panic(err)
-		}
-		sc, err := core.SingleCut(in)
-		if err != nil {
-			panic(err)
-		}
-		best = append(best, stats.Ratio(bc.Cost(), opt))
-		single = append(single, stats.Ratio(sc.Cost(), opt))
+	singleCut := func(_ context.Context, in job.Instance) (core.Schedule, error) { return core.SingleCut(in) }
+	cuts := vsOpt(seeds, func(seed int64) job.Instance {
+		return workload.Proper(seed, workload.Config{N: 11, G: 3, MaxTime: 200, MaxLen: 40})
+	}, minBusy("best-cut"), must(singleCut))
+	for i, variant := range []string{"best of g offsets", "single fixed cut"} {
+		mean, max := ratioStats(cuts[i])
+		t.Add("cut offsets (Thm 3.1)", variant, mean, max)
 	}
-	bMean, bMax := ratioStats(best)
-	sMean, sMax := ratioStats(single)
-	t.Add("cut offsets (Thm 3.1)", "best of g offsets", bMean, bMax)
-	t.Add("cut offsets (Thm 3.1)", "single fixed cut", sMean, sMax)
 
 	// (b) Set-cover variants.
-	var comb, mod, plain []float64
-	for seed := 0; seed < seeds; seed++ {
-		in := workload.Clique(int64(seed), workload.Config{N: 10, G: 3, MaxTime: 200, MaxLen: 60})
-		opt, err := exact.MinBusyCost(in)
-		if err != nil {
-			panic(err)
-		}
-		c, err := core.CliqueSetCover(context.Background(), in)
-		if err != nil {
-			panic(err)
-		}
-		m, err := core.CliqueSetCoverModified(context.Background(), in)
-		if err != nil {
-			panic(err)
-		}
-		p, err := core.CliqueSetCoverPlain(context.Background(), in)
-		if err != nil {
-			panic(err)
-		}
-		comb = append(comb, stats.Ratio(c.Cost(), opt))
-		mod = append(mod, stats.Ratio(m.Cost(), opt))
-		plain = append(plain, stats.Ratio(p.Cost(), opt))
+	covers := vsOpt(seeds, func(seed int64) job.Instance {
+		return workload.Clique(seed, workload.Config{N: 10, G: 3, MaxTime: 200, MaxLen: 60})
+	}, must(core.CliqueSetCover), must(core.CliqueSetCoverModified), must(core.CliqueSetCoverPlain))
+	for i, variant := range []string{"combined (shipped)", "modified weights only", "plain span only"} {
+		mean, max := ratioStats(covers[i])
+		t.Add("set cover (Lemma 3.2)", variant, mean, max)
 	}
-	cMean, cMax := ratioStats(comb)
-	mMean, mMax := ratioStats(mod)
-	pMean, pMax := ratioStats(plain)
-	t.Add("set cover (Lemma 3.2)", "combined (shipped)", cMean, cMax)
-	t.Add("set cover (Lemma 3.2)", "modified weights only", mMean, mMax)
-	t.Add("set cover (Lemma 3.2)", "plain span only", pMean, pMax)
 
 	// (c) Throughput Alg1 / Alg2 / combined, budget = half of optimal.
 	var a1, a2, both []float64
@@ -698,9 +630,9 @@ func E15(seeds int) Result {
 		run  func(job.Instance) core.Schedule
 	}
 	starters := []starter{
-		{"first-fit", mustMinBusy("first-fit")},
+		{"first-fit", minBusy("first-fit")},
 		{"auto", autoMinBusy},
-		{"naive", mustMinBusy("naive-per-job")},
+		{"naive", minBusy("naive-per-job")},
 	}
 	for _, st := range starters {
 		triples := parallel.Map(seeds, 0, func(seed int) [3]float64 {
@@ -1001,9 +933,6 @@ func abs64(x int64) int64 {
 	return x
 }
 
-// Gamma1 re-exports the γ₁ of a rectangle instance for reporting.
-func Gamma1(in job.RectInstance) float64 { return rect.Gamma(in.Rects(), 1) }
-
 // All runs every experiment with default sizes, in index order.
 func All() []Result {
 	return []Result{
@@ -1012,9 +941,6 @@ func All() []Result {
 		E17(10), E18(5),
 	}
 }
-
-// Asymptote returns 6γ+3, exported for table annotations.
-func Asymptote(gamma int64) float64 { return math.FMA(6, float64(gamma), 3) }
 
 // SetCoverBound returns the Lemma 3.2 ratio g·H_g/(H_g+g−1).
 func SetCoverBound(g int) float64 {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -188,6 +190,9 @@ func TestBoundTableClaims(t *testing.T) {
 	}
 }
 
+// TestAllRuns runs the published suite and pins its tables: the String()
+// of every result except E18, whose speedup column is a wall-clock
+// measurement, must equal testdata/all.golden.
 func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite in short mode")
@@ -197,6 +202,7 @@ func TestAllRuns(t *testing.T) {
 		t.Fatalf("All produced %d results", len(rs))
 	}
 	ids := map[string]bool{}
+	var got strings.Builder
 	for _, r := range rs {
 		if ids[r.ID] {
 			t.Errorf("duplicate experiment ID %s", r.ID)
@@ -204,6 +210,27 @@ func TestAllRuns(t *testing.T) {
 		ids[r.ID] = true
 		if r.Table == nil || len(r.Table.Rows) == 0 {
 			t.Errorf("%s: empty table", r.ID)
+		}
+		if r.ID != "E18" {
+			got.WriteString(r.String())
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines := strings.Split(got.String(), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Errorf("%d lines, golden has %d", len(gotLines), len(wantLines))
+	}
+	diffs := 0
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("line %d:\ngot:  %s\nwant: %s", i+1, gotLines[i], wantLines[i])
+			if diffs++; diffs == 5 {
+				t.Fatal("stopping after 5 differing lines")
+			}
 		}
 	}
 }

@@ -31,6 +31,17 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add([]byte("{}\n"))
 	f.Add([]byte(`{"session":"x","seq":0,"kind":"open","prev":"00","hash":"zz","open":{"g":1,"strategy":"online-naive"}}` + "\n"))
 	f.Add([]byte(""))
+	// A budgeted session that rejects, so the rejected and rejected_weight
+	// keys appear in the corpus.
+	recs, cert, err := Certify("seed-budget", budgetParams(), testArrivals(9))
+	if err != nil || cert.Summary.Rejected == 0 {
+		f.Fatalf("Certify budgeted seed: %d rejected, %v", cert.Summary.Rejected, err)
+	}
+	var budgeted bytes.Buffer
+	if err := EncodeRecords(&budgeted, recs); err != nil {
+		f.Fatalf("EncodeRecords: %v", err)
+	}
+	f.Add(budgeted.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decoded, err := DecodeRecords(bytes.NewReader(data))

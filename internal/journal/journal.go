@@ -115,103 +115,34 @@ func (a Arrival) Job() (job.Job, error) {
 	return j, nil
 }
 
-// Event is the journaled form of one placement outcome, mirroring
-// online.Event field for field so replay equivalence is an exact struct
-// comparison.
-type Event struct {
-	Seq        int     `json:"seq"`
-	JobID      int     `json:"job_id"`
-	Rejected   bool    `json:"rejected,omitempty"`
-	Machine    int     `json:"machine"`
-	Opened     bool    `json:"opened,omitempty"`
-	Marginal   int64   `json:"marginal"`
-	Cost       int64   `json:"cost"`
-	LowerBound int64   `json:"lower_bound"`
-	Ratio      float64 `json:"ratio"`
-	Open       int     `json:"open"`
-}
-
-// EventOf records a session event.
-func EventOf(ev online.Event) Event {
-	return Event{
-		Seq: ev.Seq, JobID: ev.JobID, Rejected: ev.Rejected, Machine: ev.Machine,
-		Opened: ev.Opened, Marginal: ev.Marginal, Cost: ev.Cost,
-		LowerBound: ev.LowerBound, Ratio: ev.Ratio, Open: ev.Open,
-	}
-}
-
-// OnlineEvent decodes the record back into the session event it mirrors.
-func (e Event) OnlineEvent() online.Event {
-	return online.Event{
-		Seq: e.Seq, JobID: e.JobID, Rejected: e.Rejected, Machine: e.Machine,
-		Opened: e.Opened, Marginal: e.Marginal, Cost: e.Cost,
-		LowerBound: e.LowerBound, Ratio: e.Ratio, Open: e.Open,
-	}
-}
-
-// Summary is the journaled form of the session's closing report.
-type Summary struct {
-	Strategy       string  `json:"strategy"`
-	Arrivals       int     `json:"arrivals"`
-	Admitted       int     `json:"admitted"`
-	Rejected       int     `json:"rejected,omitempty"`
-	AdmittedWeight int64   `json:"admitted_weight"`
-	RejectedWeight int64   `json:"rejected_weight,omitempty"`
-	Cost           int64   `json:"cost"`
-	MachinesOpened int     `json:"machines_opened"`
-	PeakOpen       int     `json:"peak_open"`
-	LowerBound     int64   `json:"lower_bound"`
-	Ratio          float64 `json:"ratio"`
-}
-
-// SummaryOf records a session summary.
-func SummaryOf(s online.Summary) Summary {
-	return Summary{
-		Strategy: s.Strategy, Arrivals: s.Arrivals, Admitted: s.Admitted,
-		Rejected: s.Rejected, AdmittedWeight: s.AdmittedWeight,
-		RejectedWeight: s.RejectedWeight, Cost: s.Cost,
-		MachinesOpened: s.MachinesOpened, PeakOpen: s.PeakOpen,
-		LowerBound: s.LowerBound, Ratio: s.Ratio,
-	}
-}
-
-// OnlineSummary decodes the record back into the summary it mirrors.
-func (s Summary) OnlineSummary() online.Summary {
-	return online.Summary{
-		Strategy: s.Strategy, Arrivals: s.Arrivals, Admitted: s.Admitted,
-		Rejected: s.Rejected, AdmittedWeight: s.AdmittedWeight,
-		RejectedWeight: s.RejectedWeight, Cost: s.Cost,
-		MachinesOpened: s.MachinesOpened, PeakOpen: s.PeakOpen,
-		LowerBound: s.LowerBound, Ratio: s.Ratio,
-	}
-}
-
 // Record is one hash-chained journal entry. Seq numbers records within
 // the session (open = 0); Prev and Hash are hex SHA-256 digests, with
 // Hash covering Prev plus the canonical encoding of every other field,
-// so any byte of any field is under the chain.
+// so any byte of any field is under the chain. An event record carries
+// the session's own online.Event and the close record its
+// online.Summary, so their JSON tags are the journal's format.
 type Record struct {
-	Session string      `json:"session"`
-	Seq     int64       `json:"seq"`
-	Kind    string      `json:"kind"`
-	Prev    string      `json:"prev"`
-	Hash    string      `json:"hash"`
-	Open    *OpenParams `json:"open,omitempty"`
-	Arrival *Arrival    `json:"arrival,omitempty"`
-	Event   *Event      `json:"event,omitempty"`
-	Close   *Summary    `json:"close,omitempty"`
+	Session string          `json:"session"`
+	Seq     int64           `json:"seq"`
+	Kind    string          `json:"kind"`
+	Prev    string          `json:"prev"`
+	Hash    string          `json:"hash"`
+	Open    *OpenParams     `json:"open,omitempty"`
+	Arrival *Arrival        `json:"arrival,omitempty"`
+	Event   *online.Event   `json:"event,omitempty"`
+	Close   *online.Summary `json:"close,omitempty"`
 }
 
 // recordPayload is the hashed portion of a record: everything except
 // Prev (prepended to the hash input as raw bytes) and Hash itself.
 type recordPayload struct {
-	Session string      `json:"session"`
-	Seq     int64       `json:"seq"`
-	Kind    string      `json:"kind"`
-	Open    *OpenParams `json:"open,omitempty"`
-	Arrival *Arrival    `json:"arrival,omitempty"`
-	Event   *Event      `json:"event,omitempty"`
-	Close   *Summary    `json:"close,omitempty"`
+	Session string          `json:"session"`
+	Seq     int64           `json:"seq"`
+	Kind    string          `json:"kind"`
+	Open    *OpenParams     `json:"open,omitempty"`
+	Arrival *Arrival        `json:"arrival,omitempty"`
+	Event   *online.Event   `json:"event,omitempty"`
+	Close   *online.Summary `json:"close,omitempty"`
 }
 
 // payloadBytes returns the canonical hashed encoding of the record.
@@ -331,7 +262,6 @@ type Writer struct {
 	session  string
 	lastSeq  int64
 	lastHash string
-	events   int
 	staged   []Record
 	closed   bool
 }
@@ -362,13 +292,6 @@ func NewWriter(store Store, session string, p OpenParams) (*Writer, error) {
 // Session returns the session id the writer appends to.
 func (w *Writer) Session() string { return w.session }
 
-// Events returns the number of event records written or staged so far —
-// also the online sequence number the next arrival will receive.
-func (w *Writer) Events() int { return w.events }
-
-// Chain returns the hash at the chain's tail (including staged records).
-func (w *Writer) Chain() string { return w.lastHash }
-
 // StageEvent chains one arrival/placement pair onto the journal without
 // persisting it yet; Commit flushes every staged record in one append.
 func (w *Writer) StageEvent(a Arrival, ev online.Event) (Record, error) {
@@ -380,7 +303,7 @@ func (w *Writer) StageEvent(a Arrival, ev online.Event) (Record, error) {
 		Seq:     safemath.SatAdd(w.lastSeq, 1),
 		Kind:    KindEvent,
 		Arrival: &a,
-		Event:   func() *Event { e := EventOf(ev); return &e }(),
+		Event:   &ev,
 	}, w.lastHash)
 	if err != nil {
 		return Record{}, err
@@ -388,7 +311,6 @@ func (w *Writer) StageEvent(a Arrival, ev online.Event) (Record, error) {
 	w.staged = append(w.staged, rec)
 	w.lastSeq = rec.Seq
 	w.lastHash = rec.Hash
-	w.events++
 	return rec, nil
 }
 
@@ -415,12 +337,11 @@ func (w *Writer) Close(sum online.Summary) (string, error) {
 	if err := w.Commit(); err != nil {
 		return "", err
 	}
-	s := SummaryOf(sum)
 	rec, err := seal(Record{
 		Session: w.session,
 		Seq:     safemath.SatAdd(w.lastSeq, 1),
 		Kind:    KindClose,
-		Close:   &s,
+		Close:   &sum,
 	}, w.lastHash)
 	if err != nil {
 		return "", err

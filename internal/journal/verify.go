@@ -133,8 +133,8 @@ func Replay(recs []Record) (*ReplayState, error) {
 			if err != nil {
 				return nil, fmt.Errorf("journal: replaying record %d: %v", i, err)
 			}
-			if want := rec.Event.OnlineEvent(); got != want {
-				return nil, fmt.Errorf("journal: record %d event %+v does not match the replayed placement %+v", i, want, got)
+			if got != *rec.Event {
+				return nil, fmt.Errorf("journal: record %d event %+v does not match the replayed placement %+v", i, *rec.Event, got)
 			}
 			st.Arrivals++
 		case KindClose:
@@ -142,8 +142,8 @@ func Replay(recs []Record) (*ReplayState, error) {
 				return nil, fmt.Errorf("journal: record %d is not a well-formed close record", i)
 			}
 			got := sess.Summary()
-			if want := rec.Close.OnlineSummary(); got != want {
-				return nil, fmt.Errorf("journal: close record %+v does not match the replayed summary %+v", want, got)
+			if got != *rec.Close {
+				return nil, fmt.Errorf("journal: close record %+v does not match the replayed summary %+v", *rec.Close, got)
 			}
 			st.Closed = true
 			st.Summary = got
@@ -212,7 +212,6 @@ func ResumeWriter(store Store, st *ReplayState) (*Writer, error) {
 		session:  st.Records[0].Session,
 		lastSeq:  st.LastSeq,
 		lastHash: st.LastHash,
-		events:   st.Arrivals,
 	}, nil
 }
 

@@ -4,7 +4,10 @@ import "repro/internal/stats"
 
 // Report is one strategy's empirical competitive-ratio measurement against
 // the offline algorithms on a single instance, as built by the root
-// package's CompareOnline.
+// package's CompareOnline. LowerBound covers the arrivals the run
+// admitted, while VsOffline and VsExact still compare against schedules
+// of the full instance: a run that rejects arrivals can read below 1
+// there.
 type Report struct {
 	// Strategy names the online policy.
 	Strategy string `json:"strategy"`
@@ -23,7 +26,9 @@ type Report struct {
 	// instance exceeds exact.MaxN and the oracle was skipped.
 	ExactCost int64 `json:"exact_cost"`
 	HasExact  bool  `json:"has_exact"`
-	// LowerBound is the Observation 2.1 bound max(len/g, span).
+	// LowerBound is the Observation 2.1 bound max(len/g, span) over the
+	// arrivals the run admitted: the full instance's bound unless
+	// admission control rejected some.
 	LowerBound int64 `json:"lower_bound"`
 }
 

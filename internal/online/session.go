@@ -67,45 +67,48 @@ func (t *RatioTracker) Ratio() float64 { return stats.Ratio(t.cost, t.LowerBound
 
 // Event is one streamed arrival's outcome: the admission decision, the
 // placement, and the running cost/lower-bound/ratio telemetry after it.
+// The journal stores it as an event record's payload, so its JSON tags
+// are the journal's on-disk format and part of every chain hash.
 type Event struct {
 	// Seq numbers the arrival within its session, starting at 0.
-	Seq int
+	Seq int `json:"seq"`
 	// JobID echoes the arrival's id.
-	JobID int
+	JobID int `json:"job_id"`
 	// Rejected reports an admission-control rejection; Machine is
 	// RejectJob and Marginal 0.
-	Rejected bool
+	Rejected bool `json:"rejected,omitempty"`
 	// Machine is the committed machine id (opening order), RejectJob on
 	// rejection.
-	Machine int
+	Machine int `json:"machine"`
 	// Opened reports whether the placement opened a fresh machine (false
 	// when an open machine was reused or the job was rejected).
-	Opened bool
+	Opened bool `json:"opened,omitempty"`
 	// Marginal is the busy time this placement added.
-	Marginal int64
+	Marginal int64 `json:"marginal"`
 	// Cost, LowerBound and Ratio are the running totals after the event.
-	Cost       int64
-	LowerBound int64
-	Ratio      float64
+	Cost       int64   `json:"cost"`
+	LowerBound int64   `json:"lower_bound"`
+	Ratio      float64 `json:"ratio"`
 	// Open counts machines open after the event.
-	Open int
+	Open int `json:"open"`
 }
 
 // Summary is a session's closing report, with the lower bound and ratio
 // taken over the admitted arrivals. A Replay's Result carries the
-// Summary of the session it ran.
+// Summary of the session it ran, and the journal stores it as the close
+// record's payload under these JSON tags.
 type Summary struct {
-	Strategy       string
-	Arrivals       int
-	Admitted       int
-	Rejected       int
-	AdmittedWeight int64
-	RejectedWeight int64
-	Cost           int64
-	MachinesOpened int
-	PeakOpen       int
-	LowerBound     int64
-	Ratio          float64
+	Strategy       string  `json:"strategy"`
+	Arrivals       int     `json:"arrivals"`
+	Admitted       int     `json:"admitted"`
+	Rejected       int     `json:"rejected,omitempty"`
+	AdmittedWeight int64   `json:"admitted_weight"`
+	RejectedWeight int64   `json:"rejected_weight,omitempty"`
+	Cost           int64   `json:"cost"`
+	MachinesOpened int     `json:"machines_opened"`
+	PeakOpen       int     `json:"peak_open"`
+	LowerBound     int64   `json:"lower_bound"`
+	Ratio          float64 `json:"ratio"`
 }
 
 // Session is an incremental online run: arrivals are offered one at a

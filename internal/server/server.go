@@ -181,18 +181,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Run listens on addr and serves until ctx is canceled, then drains
-// gracefully: in-flight requests get up to DrainTimeout to finish.
-func (s *Server) Run(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
-}
-
-// Serve is Run on a caller-provided listener (tests bind 127.0.0.1:0
-// and read the bound address back from the listener).
+// Serve serves on ln until ctx is canceled, then drains gracefully:
+// in-flight requests get up to DrainTimeout to finish. The caller binds
+// the listener (tests bind 127.0.0.1:0 and read the bound address back
+// from it).
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           s.Handler(),

@@ -176,7 +176,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, rec := range tail {
-		ev := WireStreamEvent(rec.Event.OnlineEvent())
+		ev := WireStreamEvent(*rec.Event)
 		ev.Replay = true
 		if !emit(ev) {
 			return

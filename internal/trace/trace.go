@@ -59,12 +59,6 @@ func Enabled(ctx context.Context) bool {
 	return info != nil
 }
 
-// FromContext returns the span currently active on ctx, or nil.
-func FromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(spanCtxKey).(*Span)
-	return sp
-}
-
 // Start opens a span named name: a child of the span active on ctx, or
 // a new root if ctx was Enabled but holds no span yet. On untraced
 // contexts it returns (ctx, nil) without allocating; the nil span
