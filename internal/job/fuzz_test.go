@@ -3,6 +3,8 @@ package job
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/wirejson"
@@ -58,4 +60,25 @@ func FuzzInstanceJSON(f *testing.F) {
 			t.Fatalf("round trip changed shape: %+v vs %+v", back, in)
 		}
 	})
+}
+
+// TestScanJobsHintBounded decodes an instance whose jobs array is 1 MiB
+// of '{' bytes, which both parsers decline at the second one. The slice
+// scanJobs sizes before that may hold no more jobs than the same bytes
+// would as the shortest valid jobs ({"end":1} and a comma, ten bytes,
+// for a 40-byte Job), so the decode allocates about four times the
+// body; one job per '{' would be forty times.
+func TestScanJobsHintBounded(t *testing.T) {
+	body := []byte(`{"g":1,"jobs":[` + strings.Repeat("{", 1<<20))
+	var in Instance
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := in.UnmarshalJSON(body)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("accepted a jobs array of '{' bytes")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 5*uint64(len(body)) {
+		t.Errorf("decoding a %d-byte body of '{' bytes allocated %d B, over five times its size", len(body), got)
+	}
 }

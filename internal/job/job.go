@@ -348,10 +348,12 @@ var (
 	jobKeys      = []string{"id", "start", "end", "weight", "demand"}
 )
 
-// scanJobs reads the "jobs" array for ScanInstance.
+// scanJobs reads the "jobs" array for ScanInstance, into a slice sized
+// by the objects the array appears to hold, counting at most one per
+// ten bytes: {"end":1} and a comma, the shortest job that validates.
 func scanJobs(sc *wirejson.Scanner) []Job {
-	var jobs []Job
 	sc.Open('[')
+	jobs := make([]Job, 0, sc.Objects(len(`{"end":1}`)))
 	for i := 0; sc.Next(']', i); i++ {
 		var (
 			seen             uint64

@@ -120,8 +120,9 @@ func TestReplayComparesPayloads(t *testing.T) {
 			t.Fatalf("Certify: %v", err)
 		}
 		from := edit(recs)
+		var buf []byte
 		for i := from; i < len(recs); i++ {
-			if recs[i], err = seal(recs[i], recs[i-1].Hash); err != nil {
+			if recs[i], err = seal(recs[i], recs[i-1].Hash, &buf); err != nil {
 				t.Fatal(err)
 			}
 		}

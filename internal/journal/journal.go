@@ -25,9 +25,6 @@ package journal
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -145,49 +142,22 @@ type recordPayload struct {
 	Close   *online.Summary `json:"close,omitempty"`
 }
 
-// payloadBytes returns the canonical hashed encoding of the record.
-func (r Record) payloadBytes() ([]byte, error) {
-	return json.Marshal(recordPayload{
-		Session: r.Session, Seq: r.Seq, Kind: r.Kind,
-		Open: r.Open, Arrival: r.Arrival, Event: r.Event, Close: r.Close,
-	})
-}
-
-// chainHash computes the record hash: SHA-256 over the raw previous
-// digest followed by the canonical payload.
-func chainHash(prevHex string, payload []byte) (string, error) {
-	prev, err := hex.DecodeString(prevHex)
-	if err != nil || len(prev) != sha256.Size {
-		return "", fmt.Errorf("journal: prev hash %q is not a %d-byte hex digest", prevHex, sha256.Size)
-	}
-	h := sha256.New()
-	h.Write(prev)
-	h.Write(payload)
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// seal stamps Prev and Hash onto the record, chaining it to prevHash.
-func seal(rec Record, prevHash string) (Record, error) {
+// seal stamps Prev and Hash onto the record, chaining it to prevHash;
+// buf is the hash input's buffer, reused across calls.
+func seal(rec Record, prevHash string, buf *[]byte) (Record, error) {
 	rec.Prev = prevHash
-	payload, err := rec.payloadBytes()
-	if err != nil {
-		return Record{}, fmt.Errorf("journal: encoding record %d: %v", rec.Seq, err)
-	}
-	rec.Hash, err = chainHash(prevHash, payload)
+	hash, err := chainHash(prevHash, &rec, buf)
 	if err != nil {
 		return Record{}, err
 	}
+	rec.Hash = hash
 	return rec, nil
 }
 
 // checkSeal recomputes the record's hash and reports whether it matches
 // the stamped one.
-func checkSeal(rec Record) error {
-	payload, err := rec.payloadBytes()
-	if err != nil {
-		return fmt.Errorf("journal: encoding record %d: %v", rec.Seq, err)
-	}
-	want, err := chainHash(rec.Prev, payload)
+func checkSeal(rec *Record, buf *[]byte) error {
+	want, err := chainHash(rec.Prev, rec, buf)
 	if err != nil {
 		return err
 	}
@@ -198,12 +168,15 @@ func checkSeal(rec Record) error {
 }
 
 // EncodeRecords writes the records as NDJSON, one record per line — the
-// journal wire and file format.
+// journal wire and file format — in one Write per record.
 func EncodeRecords(w io.Writer, recs []Record) error {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
+	var b []byte
+	for i := range recs {
+		var err error
+		if b, err = appendLine(b[:0], &recs[i]); err != nil {
+			return err
+		}
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
@@ -225,21 +198,15 @@ func DecodeRecords(r io.Reader) ([]Record, error) {
 		return nil, fmt.Errorf("journal: reading records: %w", err)
 	}
 	var recs []Record
+	var scratch []byte
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
 			return nil, fmt.Errorf("journal: record %d is not newline-terminated", len(recs))
 		}
-		var rec Record
-		if err := json.Unmarshal(data[:nl], &rec); err != nil {
-			return nil, fmt.Errorf("journal: decoding record %d: %v", len(recs), err)
-		}
-		var canon bytes.Buffer
-		if err := EncodeRecords(&canon, []Record{rec}); err != nil {
-			return nil, fmt.Errorf("journal: re-encoding record %d: %v", len(recs), err)
-		}
-		if !bytes.Equal(data[:nl+1], canon.Bytes()) {
-			return nil, fmt.Errorf("journal: record %d is not canonically encoded", len(recs))
+		rec, err := decodeRecord(data[:nl+1], len(recs), &scratch)
+		if err != nil {
+			return nil, err
 		}
 		recs = append(recs, rec)
 		data = data[nl+1:]
@@ -264,6 +231,7 @@ type Writer struct {
 	lastHash string
 	staged   []Record
 	closed   bool
+	buf      []byte // the hash input, reused
 }
 
 // NewWriter opens a fresh session: it refuses ids whose journal already
@@ -279,14 +247,16 @@ func NewWriter(store Store, session string, p OpenParams) (*Writer, error) {
 	} else if len(recs) > 0 {
 		return nil, fmt.Errorf("%w: %s has %d records", ErrSessionExists, session, len(recs))
 	}
-	rec, err := seal(Record{Session: session, Seq: 0, Kind: KindOpen, Open: &p}, genesisHex)
+	w := &Writer{store: store, session: session}
+	rec, err := seal(Record{Session: session, Seq: 0, Kind: KindOpen, Open: &p}, genesisHex, &w.buf)
 	if err != nil {
 		return nil, err
 	}
 	if err := store.Append(session, []Record{rec}); err != nil {
 		return nil, err
 	}
-	return &Writer{store: store, session: session, lastSeq: 0, lastHash: rec.Hash}, nil
+	w.lastHash = rec.Hash
+	return w, nil
 }
 
 // Session returns the session id the writer appends to.
@@ -304,7 +274,7 @@ func (w *Writer) StageEvent(a Arrival, ev online.Event) (Record, error) {
 		Kind:    KindEvent,
 		Arrival: &a,
 		Event:   &ev,
-	}, w.lastHash)
+	}, w.lastHash, &w.buf)
 	if err != nil {
 		return Record{}, err
 	}
@@ -342,7 +312,7 @@ func (w *Writer) Close(sum online.Summary) (string, error) {
 		Seq:     safemath.SatAdd(w.lastSeq, 1),
 		Kind:    KindClose,
 		Close:   &sum,
-	}, w.lastHash)
+	}, w.lastHash, &w.buf)
 	if err != nil {
 		return "", err
 	}

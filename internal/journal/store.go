@@ -190,27 +190,35 @@ func OpenFileStore(path string) (*FileStore, error) {
 }
 
 // load replays the log into the session mirror, truncating a torn
-// trailing line and rejecting interior corruption.
+// trailing line and rejecting interior corruption. It reads the log in
+// one call, into a buffer sized from the file, and decodes every line
+// where it lies.
 func (s *FileStore) load() error {
-	data, err := io.ReadAll(s.f)
-	if err != nil {
+	var buf bytes.Buffer
+	if f, ok := s.f.(*os.File); ok {
+		if fi, err := f.Stat(); err == nil && int64(int(fi.Size())) == fi.Size() {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
+	if _, err := buf.ReadFrom(s.f); err != nil {
 		return fmt.Errorf("journal: reading store: %w", err)
 	}
+	data := buf.Bytes()
+	var scratch []byte
 	keep := 0
 	for keep < len(data) {
 		nl := bytes.IndexByte(data[keep:], '\n')
 		if nl < 0 {
 			break // torn trailing write: no newline ever made it to disk
 		}
-		line := data[keep : keep+nl+1]
-		recs, err := DecodeRecords(bytes.NewReader(line))
-		if err != nil || len(recs) != 1 {
+		rec, err := decodeRecord(data[keep:keep+nl+1], 0, &scratch)
+		if err != nil {
 			if keep+nl+1 == len(data) {
 				break // torn trailing write: partial JSON with a newline
 			}
 			return fmt.Errorf("journal: store corrupted at byte %d: %v", keep, err)
 		}
-		s.index.add(recs[0].Session, recs)
+		s.index.add(rec.Session, []Record{rec})
 		keep += nl + 1
 	}
 	if keep != len(data) {
@@ -222,6 +230,9 @@ func (s *FileStore) load() error {
 	return nil
 }
 
+// appendBufs holds the buffers Append encodes into.
+var appendBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Append implements Store: one buffered write of every record, then a
 // single fsync, which a stream session pays once per flush.
 func (s *FileStore) Append(session string, recs []Record) error {
@@ -231,10 +242,16 @@ func (s *FileStore) Append(session string, recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := EncodeRecords(&buf, recs); err != nil {
-		return fmt.Errorf("journal: encoding append: %v", err)
+	bp := appendBufs.Get().(*[]byte)
+	defer appendBufs.Put(bp)
+	b := (*bp)[:0]
+	for i := range recs {
+		var err error
+		if b, err = appendLine(b, &recs[i]); err != nil {
+			return fmt.Errorf("journal: encoding append: %v", err)
+		}
 	}
+	*bp = b
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
@@ -243,13 +260,13 @@ func (s *FileStore) Append(session string, recs []Record) error {
 	if s.stuck != nil {
 		return fmt.Errorf("journal: store refuses appends after a failed one could not be cut back: %w", s.stuck)
 	}
-	if _, err := s.f.WriteAt(buf.Bytes(), s.size); err != nil {
+	if _, err := s.f.WriteAt(b, s.size); err != nil {
 		return s.cutBack(fmt.Errorf("journal: appending: %w", err))
 	}
 	if err := s.f.Sync(); err != nil {
 		return s.cutBack(fmt.Errorf("journal: syncing: %w", err))
 	}
-	s.size = safemath.SatAdd(s.size, int64(buf.Len()))
+	s.size = safemath.SatAdd(s.size, int64(len(b)))
 	s.index.add(session, recs)
 	return nil
 }

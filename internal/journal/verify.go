@@ -97,6 +97,7 @@ func Replay(recs []Record) (*ReplayState, error) {
 
 	prevHash := genesisHex
 	prevSeq := int64(-1)
+	var buf []byte
 	for i, rec := range recs {
 		if rec.Session != head.Session {
 			return nil, fmt.Errorf("journal: record %d belongs to session %q, not %q", i, rec.Session, head.Session)
@@ -107,7 +108,7 @@ func Replay(recs []Record) (*ReplayState, error) {
 		if rec.Seq != safemath.SatAdd(prevSeq, 1) {
 			return nil, fmt.Errorf("journal: record %d has seq %d, want %d", i, rec.Seq, safemath.SatAdd(prevSeq, 1))
 		}
-		if err := checkSeal(rec); err != nil {
+		if err := checkSeal(&rec, &buf); err != nil {
 			return nil, err
 		}
 		if st.Closed {

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/safemath"
 	"repro/internal/trace"
+	"repro/internal/wirejson"
 )
 
 // handleStream serves POST /v1/stream: a full-duplex NDJSON session that
@@ -77,7 +80,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// at the defaults (8 MiB, ~60 B per arrival line) it sits above the
 	// 100k-job -max-jobs cap.
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
+	var arrivals io.Reader = body // what follows the header
 
 	// Both setup paths claim the session id before returning success, so
 	// exactly one connection serves a session at a time (sessions and
@@ -110,10 +113,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.metrics.streamsResumed.Add(1)
 	} else {
 		var open StreamOpen
+		dec := json.NewDecoder(body)
 		if err := dec.Decode(&open); err != nil {
 			s.refuse(w, http.StatusBadRequest, fmt.Errorf("server: decoding stream header: %v", err))
 			return
 		}
+		arrivals = io.MultiReader(dec.Buffered(), body)
 		var status int
 		var err error
 		sess, jw, alg, status, err = s.openStreamSession(open)
@@ -183,12 +188,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// The reader goroutine exists only because a blocked Decode is the
-	// one way to learn that an arrival is ready. A buffer of one flush
-	// lets it decode the next flush while the handler commits this one.
+	// The reader goroutine exists only because a blocked Read is the one
+	// way to learn that an arrival is ready. A buffer of one flush lets
+	// it decode the next flush while the handler commits this one.
 	items := make(chan streamItem, maxFlush)
 	done := make(chan struct{})
-	go s.readArrivals(r.Context(), dec, sess.Arrivals(), items, done)
+	go s.readArrivals(r.Context(), newArrivalReader(arrivals), sess.Arrivals(), items, done)
 	// On every exit the handler stops the reader and drains items until
 	// it has returned: net/http must not touch the body while the reader
 	// is still inside it. A client still sending completes the Read in
@@ -208,10 +213,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// This goroutine owns the session, the journal writer and the
 	// response. A flush takes the first queued arrival and whatever else
 	// is already queued, places and stages each, commits them in one
-	// journal append, and only then encodes their events and flushes the
-	// response once: no event leaves before the Commit covering it.
+	// journal append, and only then encodes their events into one buffer
+	// and writes and flushes it once: no event leaves before the Commit
+	// covering it.
 	batch := make([]streamItem, 0, maxFlush)
 	out := make([]StreamEvent, 0, maxFlush)
+	var lines []byte
 	confirmed := 0                      // arrivals acknowledged so far
 	var totals [len(streamStages)]int64 // and their summed stage timings
 	for first := range items {
@@ -263,6 +270,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if len(out) > 0 {
 			s.metrics.observeFlushSize(len(out))
 		}
+		lines = lines[:0]
 		for i := range out {
 			ev := &out[i]
 			ev.QueueNS, ev.FlushNS = flushStart.Sub(batch[i].enqueued).Nanoseconds(), flushNS
@@ -278,9 +286,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 			s.reqlog.log(logEntry{Kind: "stream_event", Session: session, Seq: ev.Seq,
 				Outcome: ev.Type, DurationNS: safemath.SatAdd(ev.QueueNS, ev.FlushNS)})
-			if err := enc.Encode(ev); err != nil {
-				return // client gone; the journal stays unclosed and resumable
+			var ok bool
+			if lines, ok = appendStreamEvent(lines, ev); !ok {
+				// encoding/json refuses a non-finite ratio: the events
+				// before it leave, and the session ends there.
+				_, _ = w.Write(lines)
+				return
 			}
+		}
+		if _, err := w.Write(lines); err != nil {
+			return // client gone; the journal stays unclosed and resumable
 		}
 		confirmed += len(out)
 		_ = rc.Flush()
@@ -346,11 +361,10 @@ type streamItem struct {
 // on return. An error is the last item sent; it is ctx's error when the
 // client went away. arrivals is the count already journaled, which
 // counts toward the MaxJobs cap on resume.
-func (s *Server) readArrivals(ctx context.Context, dec *json.Decoder, arrivals int, items chan<- streamItem, done <-chan struct{}) {
+func (s *Server) readArrivals(ctx context.Context, ar *arrivalReader, arrivals int, items chan<- streamItem, done <-chan struct{}) {
 	defer close(items)
 	for {
-		var arr StreamArrival
-		err := dec.Decode(&arr)
+		arr, err := ar.next()
 		if errors.Is(err, io.EOF) {
 			return
 		}
@@ -375,6 +389,174 @@ func (s *Server) readArrivals(ctx context.Context, dec *json.Decoder, arrivals i
 			return
 		}
 	}
+}
+
+// arrivalReader reads a stream session's arrivals. While the client
+// sends canonical arrivals (json.Marshal of StreamArrival, or its keys
+// in any order with weight optional), one a line, each line is scanned
+// in one pass. A line ends at its newline or, while none is buffered,
+// at the end of the first whole object, so an arrival whose newline
+// has not come is handed on as a json.Decoder would hand it on. At the
+// first line the scan declines, and at the first read error, a
+// json.Decoder takes over for the rest of the body, starting at the
+// beginning of that line, so statuses, error texts and the arrivals
+// acknowledged do not depend on which path ran.
+type arrivalReader struct {
+	br  *bufio.Reader
+	dec *json.Decoder
+}
+
+func newArrivalReader(r io.Reader) *arrivalReader {
+	return &arrivalReader{br: bufio.NewReader(r)}
+}
+
+// next returns the next arrival, or io.EOF when the body ended cleanly.
+func (ar *arrivalReader) next() (StreamArrival, error) {
+	for ar.dec == nil {
+		line, err := ar.line()
+		if err == nil || err == io.EOF {
+			sc := wirejson.New(line)
+			if sc.End() { // a blank line
+				if err == io.EOF {
+					return StreamArrival{}, io.EOF
+				}
+				continue
+			}
+			if arr := scanArrival(&sc); sc.End() {
+				return arr, nil
+			}
+		}
+		rest := io.Reader(ar.br) // a declined line, or one longer than the buffer
+		if err != nil && err != bufio.ErrBufferFull {
+			rest = errReader{err}
+		}
+		ar.dec = json.NewDecoder(io.MultiReader(bytes.NewReader(bytes.Clone(line)), rest))
+	}
+	var arr StreamArrival
+	err := ar.dec.Decode(&arr)
+	return arr, err
+}
+
+// line consumes and returns the next line: the buffered bytes through
+// the next newline or, while none is buffered, through objectEnd's
+// end, waiting for more bytes only while neither is there. With an
+// error it returns what was buffered before the read failed, or a
+// full buffer and bufio.ErrBufferFull. The line is valid until the
+// next read.
+func (ar *arrivalReader) line() ([]byte, error) {
+	for {
+		buf, _ := ar.br.Peek(ar.br.Buffered())
+		n := bytes.IndexByte(buf, '\n') + 1
+		if n == 0 {
+			n = objectEnd(buf)
+		}
+		var err error
+		switch {
+		case n > 0:
+		case len(buf) == ar.br.Size():
+			n, err = len(buf), bufio.ErrBufferFull
+		default:
+			if _, err = ar.br.Peek(len(buf) + 1); err == nil {
+				continue // more bytes came
+			}
+			buf, _ = ar.br.Peek(ar.br.Buffered()) // the wait may have moved them
+			n = len(buf)
+		}
+		_, _ = ar.br.Discard(n)
+		return buf[:n], err
+	}
+}
+
+// objectEnd returns the length of buf's leading whitespace and the
+// object after it when buf holds the whole object; len(buf) when buf
+// holds something other than whitespace before an object, which only
+// the json.Decoder reads; and 0 when more bytes are needed to tell.
+func objectEnd(buf []byte) int {
+	depth, quoted, escaped := 0, false, false
+	for i, c := range buf {
+		switch {
+		case depth == 0:
+			if c == '{' {
+				depth = 1
+			} else if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+				return len(buf)
+			}
+		case escaped:
+			escaped = false
+		case quoted:
+			escaped, quoted = c == '\\', c != '"'
+		case c == '"':
+			quoted = true
+		case c == '{' || c == '[':
+			depth++
+		case c == '}' || c == ']':
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		}
+	}
+	return 0
+}
+
+// arrivalKeys are the keys scanArrival reads.
+var arrivalKeys = []string{"id", "start", "end", "weight"}
+
+// scanArrival reads one arrival object.
+func scanArrival(sc *wirejson.Scanner) StreamArrival {
+	var a StreamArrival
+	var seen uint64
+	sc.Open('{')
+	for i := 0; sc.Next('}', i); i++ {
+		switch sc.Field(arrivalKeys, &seen) {
+		case 0:
+			a.ID = sc.Int()
+		case 1:
+			a.Start = sc.Int64()
+		case 2:
+			a.End = sc.Int64()
+		case 3:
+			a.Weight = sc.Int64()
+		}
+	}
+	return a
+}
+
+// appendStreamEvent appends the line an encoding/json Encoder writes
+// for a flush's assign or reject event: WireStreamEvent's fields and
+// the stage timings. It reports false, with b as it was, when the
+// ratio is not finite, which encoding/json refuses. The other events
+// are written by encoding/json.
+func appendStreamEvent(b []byte, ev *StreamEvent) ([]byte, bool) {
+	in := b
+	b = append(b, `{"type":"`...)
+	b = append(b, ev.Type...)
+	b = append(b, '"')
+	b = appendNonZero(b, `,"seq":`, int64(ev.Seq))
+	b = appendNonZero(b, `,"job_id":`, int64(ev.JobID))
+	b = appendNonZero(b, `,"machine":`, int64(ev.Machine))
+	if ev.Opened {
+		b = append(b, `,"opened":true`...)
+	}
+	b = appendNonZero(b, `,"marginal":`, ev.Marginal)
+	b = appendNonZero(b, `,"open_machines":`, int64(ev.Open))
+	b = appendNonZero(b, `,"queue_ns":`, ev.QueueNS)
+	b = appendNonZero(b, `,"flush_ns":`, ev.FlushNS)
+	b = appendNonZero(b, `,"solve_ns":`, ev.SolveNS)
+	b = strconv.AppendInt(append(b, `,"cost":`...), ev.Cost, 10)
+	b = strconv.AppendInt(append(b, `,"lower_bound":`...), ev.LowerBound, 10)
+	b, ok := wirejson.AppendFloat(append(b, `,"ratio":`...), ev.Ratio)
+	if !ok {
+		return in, false
+	}
+	return append(b, "}\n"...), true
+}
+
+// appendNonZero appends key and v unless v is 0, as omitempty does.
+func appendNonZero(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), v, 10)
 }
 
 // openStreamSession validates the stream header and opens a fresh

@@ -1,21 +1,34 @@
 // Package wirejson scans the canonical subset of JSON that the serving
-// path's clients send, in one forward pass over the bytes: JSON
-// whitespace, objects whose keys are matched byte for byte against the
-// keys the caller knows and appear at most once, arrays, strings of
-// printable ASCII with no escapes, and integers that fit an int64. It
-// is the whole lexical side of the one-pass request decoders
-// (internal/job's instance parser, internal/server's request and batch
-// parsers); they add the grammar, this package owns the byte rules.
+// path's clients send and the journal writes, in one forward pass over
+// the bytes: JSON whitespace, objects whose keys are matched byte for
+// byte against the keys the caller knows and appear at most once (or
+// against a fixed layout of literal bytes), arrays, strings of
+// printable ASCII with no escapes, integers that fit an int64, and
+// numbers where the caller reads a float64. It is the whole lexical
+// side of the one-pass decoders (internal/job's instance parser,
+// internal/server's request, batch and stream-arrival parsers,
+// internal/journal's record scanner); they add the grammar, this
+// package owns the byte rules.
 //
 // A Scanner never guesses. On the first byte outside the subset it
 // fails, and stays failed: every later call returns a zero value, so a
 // parser can read straight through and check Failed once. A caller
 // that sees a failure hands the same bytes to encoding/json, which
 // gives the full language its usual meaning (escapes, non-ASCII text,
-// null, floats, case-insensitive keys) and its usual errors.
+// null, floats where an integer is read, case-insensitive keys) and its
+// usual errors.
+//
+// The package also writes what encoding/json writes for the values
+// whose encoding it can spell without reflection (Plain strings,
+// AppendFloat), for the encoders of the journal's records and the
+// stream's events.
 package wirejson
 
-import "math"
+import (
+	"bytes"
+	"math"
+	"strconv"
+)
 
 // Scanner reads one JSON text from a byte slice.
 type Scanner struct {
@@ -182,6 +195,59 @@ func (s *Scanner) Int64() int64 {
 	return int64(v)
 }
 
+// Float64 reads a number literal in JSON's grammar (an optional minus,
+// 0 or a digit string without a leading zero, an optional fraction, an
+// optional exponent) whose value strconv.ParseFloat reads as a finite
+// float64, which is what encoding/json decodes it to.
+func (s *Scanner) Float64() float64 {
+	if s.failed {
+		return 0
+	}
+	s.skipSpace()
+	data, start := s.data, s.pos
+	i := start
+	if i < len(data) && data[i] == '-' {
+		i++
+	}
+	whole := i
+	i = digits(data, i)
+	ok := i > whole && (data[whole] != '0' || i == whole+1)
+	if ok && i < len(data) && data[i] == '.' {
+		frac := i + 1
+		i = digits(data, frac)
+		ok = i > frac
+	}
+	if ok && i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		i++
+		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		exp := i
+		i = digits(data, exp)
+		ok = i > exp
+	}
+	if !ok {
+		s.failed = true
+		return 0
+	}
+	v, err := strconv.ParseFloat(string(data[start:i]), 64)
+	if err != nil {
+		s.failed = true
+		return 0
+	}
+	s.pos = i
+	return v
+}
+
+// digits returns the index of the first byte at or after i that is not
+// a decimal digit.
+func digits(data []byte, i int) int {
+	for i < len(data) && data[i]-'0' <= 9 {
+		i++
+	}
+	return i
+}
+
 // Int reads an integer literal whose value fits an int.
 func (s *Scanner) Int() int {
 	v := s.Int64()
@@ -192,7 +258,74 @@ func (s *Scanner) Int() int {
 	return int(v)
 }
 
+// Literal consumes lit when the input continues with it byte for byte,
+// with no whitespace skipped, and reports whether it did. It leaves the
+// scan as it is otherwise: parsers of a fixed layout read optional
+// members with it, and fail the scan themselves where a member must
+// follow.
+func (s *Scanner) Literal(lit string) bool {
+	if s.failed || len(s.data)-s.pos < len(lit) || string(s.data[s.pos:s.pos+len(lit)]) != lit {
+		return false
+	}
+	s.pos += len(lit)
+	return true
+}
+
+// Objects estimates the elements left in an array of flat objects, as
+// a capacity hint: the '{' bytes from the scan position to the next
+// ']', but no more than the comma-separated objects of at least size
+// bytes each that those bytes can hold, so the hint never exceeds what
+// a well-formed array of the same length would need. It does not move
+// the scan, and is 0 on a failed scan.
+func (s *Scanner) Objects(size int) int {
+	if s.failed {
+		return 0
+	}
+	rest := s.data[s.pos:]
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		rest = rest[:end]
+	}
+	return min(bytes.Count(rest, []byte{'{'}), (len(rest)+1)/(size+1))
+}
+
 // End reports whether the scan succeeded and only whitespace remains.
 func (s *Scanner) End() bool {
 	return !s.failed && s.skipSpace() == 0 && s.pos == len(s.data)
+}
+
+// Plain reports whether s is printable ASCII (0x20–0x7f) other than the
+// quote, the backslash and '<', '>' and '&'. Both of encoding/json's
+// string encoders write such a string as its bytes between quotes:
+// json.Marshal, which escapes the last three for HTML, and an Encoder
+// with SetEscapeHTML(false), which does not. Other text, most non-ASCII
+// text included, is left to encoding/json.
+func Plain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// AppendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that reads back as f, in exponent form when |f| is below 1e-6
+// or at least 1e21, with a one-digit negative exponent unpadded (1e-7,
+// not 1e-07). It reports false, with b as it was, for NaN and ±Inf,
+// which encoding/json refuses.
+func AppendFloat(b []byte, f float64) ([]byte, bool) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, true
 }
