@@ -130,6 +130,50 @@ func vsOpt(seeds int, gen func(seed int64) job.Instance, solvers ...func(job.Ins
 	return cols
 }
 
+// vsMaxThroughput generates the instances of seeds 0…seeds−1 in
+// parallel and, for each fraction of an instance's exact MinBusy cost
+// taken as the budget, solves it once with exact.MaxThroughput (with
+// exact.MaxWeightThroughput when weighted) and with every solver. It
+// returns one column of throughput/OPT ratios per solver, fraction by
+// fraction in seed order: seed s at fracs[k] is entry k·seeds+s. A
+// budget that admits no job scores 1.
+func vsMaxThroughput(seeds int, gen func(seed int64) job.Instance, fracs []float64, weighted bool,
+	solvers ...func(job.Instance, int64) (core.Schedule, error)) [][]float64 {
+	oracle, measure := exact.MaxThroughput, func(s core.Schedule) int64 { return int64(s.Throughput()) }
+	if weighted {
+		oracle, measure = exact.MaxWeightThroughput, core.Schedule.WeightedThroughput
+	}
+	cols := make([][]float64, len(solvers))
+	for i := range cols {
+		cols[i] = make([]float64, len(fracs)*seeds)
+	}
+	parallel.ForEach(seeds, 0, func(seed int) {
+		in := gen(int64(seed))
+		full, err := exact.MinBusyCost(in)
+		if err != nil {
+			panic(err)
+		}
+		for k, frac := range fracs {
+			budget := int64(frac * float64(full))
+			opt, err := oracle(context.Background(), in, budget)
+			if err != nil {
+				panic(err)
+			}
+			for i, solve := range solvers {
+				s, err := solve(in, budget)
+				if err != nil {
+					panic(err)
+				}
+				cols[i][k*seeds+seed] = 1
+				if o := measure(opt); o > 0 {
+					cols[i][k*seeds+seed] = float64(measure(s)) / float64(o)
+				}
+			}
+		}
+	})
+	return cols
+}
+
 // E1 measures Lemma 3.1: CliqueMatching is optimal on clique instances
 // with g = 2 (every measured ratio must be exactly 1).
 func E1(seeds int) Result {
@@ -281,30 +325,13 @@ func E6(seeds int) Result {
 // sweep on clique instances.
 func E7(seeds int) Result {
 	t := &stats.Table{Header: []string{"g", "budget", "mean tput/opt", "min tput/opt", "bound"}}
-	cliqueThroughput := throughputSolve("clique-throughput")
+	fracs := []float64{0.25, 0.5, 0.75, 1.0}
 	for _, g := range []int{2, 3} {
-		for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
-			ratios := parallel.Map(seeds, 0, func(seed int) float64 {
-				in := workload.Clique(int64(seed), workload.Config{N: 10, G: g, MaxTime: 200, MaxLen: 60})
-				full, err := exact.MinBusyCost(in)
-				if err != nil {
-					panic(err)
-				}
-				budget := int64(frac * float64(full))
-				s, err := cliqueThroughput(in, budget)
-				if err != nil {
-					panic(err)
-				}
-				optS, err := exact.MaxThroughput(context.Background(), in, budget)
-				if err != nil {
-					panic(err)
-				}
-				if optS.Throughput() == 0 {
-					return 1
-				}
-				return float64(s.Throughput()) / float64(optS.Throughput())
-			})
-			sum := stats.Summarize(ratios)
+		ratios := vsMaxThroughput(seeds, func(seed int64) job.Instance {
+			return workload.Clique(seed, workload.Config{N: 10, G: g, MaxTime: 200, MaxLen: 60})
+		}, fracs, false, throughputSolve("clique-throughput"))[0]
+		for k, frac := range fracs {
+			sum := stats.Summarize(ratios[k*seeds : (k+1)*seeds])
 			t.Add(g, fmt.Sprintf("%.0f%% of OPT cost", frac*100), sum.Mean, sum.Min, 0.25)
 		}
 	}
@@ -320,52 +347,18 @@ func E7(seeds int) Result {
 // cliques across budgets; the weighted extension is also checked.
 func E8(seeds int) Result {
 	t := &stats.Table{Header: []string{"variant", "instances x budgets", "min tput/opt"}}
-	mostThroughput := throughputSolve("most-throughput-consecutive")
-	mostWeight := throughputSolve("most-weight-consecutive")
-	worstU, worstW := 1.0, 1.0
-	count := 0
-	for seed := 0; seed < seeds; seed++ {
-		in := workload.ProperClique(int64(seed), workload.Config{N: 10, G: 3, MaxTime: 200, MaxLen: 40})
+	gen := func(seed int64) job.Instance {
+		in := workload.ProperClique(seed, workload.Config{N: 10, G: 3, MaxTime: 200, MaxLen: 40})
 		for i := range in.Jobs {
-			in.Jobs[i].Weight = 1 + int64((i*13+seed)%7)
+			in.Jobs[i].Weight = 1 + (int64(i)*13+seed)%7
 		}
-		full, err := exact.MinBusyCost(in)
-		if err != nil {
-			panic(err)
-		}
-		for _, frac := range []float64{0.3, 0.6, 0.9} {
-			budget := int64(frac * float64(full))
-			count++
-			s, err := mostThroughput(in, budget)
-			if err != nil {
-				panic(err)
-			}
-			o, err := exact.MaxThroughput(context.Background(), in, budget)
-			if err != nil {
-				panic(err)
-			}
-			if o.Throughput() > 0 {
-				if r := float64(s.Throughput()) / float64(o.Throughput()); r < worstU {
-					worstU = r
-				}
-			}
-			ws, err := mostWeight(in, budget)
-			if err != nil {
-				panic(err)
-			}
-			wo, err := exact.MaxWeightThroughput(context.Background(), in, budget)
-			if err != nil {
-				panic(err)
-			}
-			if wo.WeightedThroughput() > 0 {
-				if r := float64(ws.WeightedThroughput()) / float64(wo.WeightedThroughput()); r < worstW {
-					worstW = r
-				}
-			}
-		}
+		return in
 	}
-	t.Add("unweighted (Thm 4.2)", count, worstU)
-	t.Add("weighted (Sec 5 ext)", count, worstW)
+	fracs := []float64{0.3, 0.6, 0.9}
+	unweighted := vsMaxThroughput(seeds, gen, fracs, false, throughputSolve("most-throughput-consecutive"))[0]
+	weighted := vsMaxThroughput(seeds, gen, fracs, true, throughputSolve("most-weight-consecutive"))[0]
+	t.Add("unweighted (Thm 4.2)", len(unweighted), stats.Summarize(unweighted).Min)
+	t.Add("weighted (Sec 5 ext)", len(weighted), stats.Summarize(weighted).Min)
 	return Result{
 		ID:    "E8",
 		Title: "proper clique throughput DPs vs oracle",
@@ -453,38 +446,14 @@ func E10(seeds int) Result {
 // E11 measures Observation 3.1 and Proposition 4.1 on one-sided cliques.
 func E11(seeds int) Result {
 	t := &stats.Table{Header: []string{"problem", "instances", "max ratio / min tput ratio"}}
-	oneSidedGreedy := minBusy("one-sided-greedy")
-	oneSidedThroughput := throughputSolve("one-sided-throughput")
-	worstMin, worstTput := 1.0, 1.0
-	for seed := 0; seed < seeds; seed++ {
-		for _, sharedStart := range []bool{true, false} {
-			in := workload.OneSided(int64(seed), workload.Config{N: 10, G: 3, MaxTime: 200, MaxLen: 50}, sharedStart)
-			s := oneSidedGreedy(in)
-			opt, err := exact.MinBusyCost(in)
-			if err != nil {
-				panic(err)
-			}
-			if r := stats.Ratio(s.Cost(), opt); r > worstMin {
-				worstMin = r
-			}
-			budget := opt / 2
-			ts, err := oneSidedThroughput(in, budget)
-			if err != nil {
-				panic(err)
-			}
-			o, err := exact.MaxThroughput(context.Background(), in, budget)
-			if err != nil {
-				panic(err)
-			}
-			if o.Throughput() > 0 {
-				if r := float64(ts.Throughput()) / float64(o.Throughput()); r < worstTput {
-					worstTput = r
-				}
-			}
-		}
+	// Instance 2s shares its jobs' start, instance 2s+1 their end.
+	gen := func(i int64) job.Instance {
+		return workload.OneSided(i/2, workload.Config{N: 10, G: 3, MaxTime: 200, MaxLen: 50}, i%2 == 0)
 	}
-	t.Add("MinBusy (Obs 3.1)", 2*seeds, worstMin)
-	t.Add("MaxThroughput (Prop 4.1)", 2*seeds, worstTput)
+	minBusyRatios := vsOpt(2*seeds, gen, minBusy("one-sided-greedy"))[0]
+	tputRatios := vsMaxThroughput(2*seeds, gen, []float64{0.5}, false, throughputSolve("one-sided-throughput"))[0]
+	t.Add("MinBusy (Obs 3.1)", 2*seeds, stats.Summarize(minBusyRatios).Max)
+	t.Add("MaxThroughput (Prop 4.1)", 2*seeds, stats.Summarize(tputRatios).Min)
 	return Result{
 		ID:    "E11",
 		Title: "one-sided clique exact algorithms",
@@ -571,44 +540,13 @@ func E14(seeds int) Result {
 	}
 
 	// (c) Throughput Alg1 / Alg2 / combined, budget = half of optimal.
-	var a1, a2, both []float64
-	for seed := 0; seed < seeds; seed++ {
-		in := workload.Clique(int64(seed), workload.Config{N: 10, G: 3, MaxTime: 200, MaxLen: 60})
-		full, err := exact.MinBusyCost(in)
-		if err != nil {
-			panic(err)
-		}
-		budget := full / 2
-		opt, err := exact.MaxThroughput(context.Background(), in, budget)
-		if err != nil {
-			panic(err)
-		}
-		if opt.Throughput() == 0 {
-			continue
-		}
-		s1, err := core.CliqueAlg1(in, budget)
-		if err != nil {
-			panic(err)
-		}
-		s2, err := core.CliqueAlg2(in, budget)
-		if err != nil {
-			panic(err)
-		}
-		sc, err := core.CliqueThroughput(in, budget)
-		if err != nil {
-			panic(err)
-		}
-		o := float64(opt.Throughput())
-		a1 = append(a1, float64(s1.Throughput())/o)
-		a2 = append(a2, float64(s2.Throughput())/o)
-		both = append(both, float64(sc.Throughput())/o)
+	tputs := vsMaxThroughput(seeds, func(seed int64) job.Instance {
+		return workload.Clique(seed, workload.Config{N: 10, G: 3, MaxTime: 200, MaxLen: 60})
+	}, []float64{0.5}, false, core.CliqueAlg1, core.CliqueAlg2, core.CliqueThroughput)
+	for i, variant := range []string{"Alg1 only", "Alg2 only", "combined (shipped)"} {
+		sum := stats.Summarize(tputs[i])
+		t.Add("throughput (Thm 4.1)", variant, sum.Mean, sum.Min)
 	}
-	m1 := stats.Summarize(a1)
-	m2 := stats.Summarize(a2)
-	mb := stats.Summarize(both)
-	t.Add("throughput (Thm 4.1)", "Alg1 only", m1.Mean, m1.Min)
-	t.Add("throughput (Thm 4.1)", "Alg2 only", m2.Mean, m2.Min)
-	t.Add("throughput (Thm 4.1)", "combined (shipped)", mb.Mean, mb.Min)
 
 	return Result{
 		ID:    "E14",

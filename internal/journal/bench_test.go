@@ -64,11 +64,53 @@ func BenchmarkFileStoreOpen(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*records), "us/record")
 }
 
+// BenchmarkFileStoreRead times what a resume, a journal fetch or a
+// refused reopen costs the store: reading one 2,000-event session back
+// from a log of 20 such sessions, whose flushes of 32 records
+// interleave as concurrent streams write them.
+func BenchmarkFileStoreRead(b *testing.B) {
+	const sessions, events, flush = 20, 2000, 32
+	path := filepath.Join(b.TempDir(), "journal.ndjson")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := make([][]Record, sessions)
+	for s := range all {
+		all[s] = benchSession(b, fmt.Sprintf("read-%d", s), int64(s+1), events, s%2 == 1)
+	}
+	for lo := 0; lo < len(all[0]); lo += flush {
+		for _, recs := range all {
+			if err := EncodeRecords(f, recs[lo:min(lo+flush, len(recs))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	st, err := OpenFileStore(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	want := len(all[sessions/2])
+	b.ReportAllocs()
+	for b.Loop() {
+		recs, err := st.Read(fmt.Sprintf("read-%d", sessions/2))
+		if err != nil || len(recs) != want {
+			b.Fatalf("Read: %d of %d records, %v", len(recs), want, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*want), "us/record")
+}
+
 // nullLog is a log file that keeps nothing and syncs at no cost, so a
 // FileStore over it times the store's own work per append.
 type nullLog struct{}
 
 func (nullLog) Read([]byte) (int, error)               { return 0, io.EOF }
+func (nullLog) ReadAt([]byte, int64) (int, error)      { return 0, io.EOF }
 func (nullLog) WriteAt(p []byte, _ int64) (int, error) { return len(p), nil }
 func (nullLog) Sync() error                            { return nil }
 func (nullLog) Truncate(int64) error                   { return nil }
@@ -85,7 +127,7 @@ func BenchmarkWriterStageCommit(b *testing.B) {
 	p := *recs[0].Open
 	b.ReportAllocs()
 	for b.Loop() {
-		st := &FileStore{f: nullLog{}, index: NewMemStore()}
+		st := &FileStore{f: nullLog{}}
 		w, err := NewWriter(st, "stage", p)
 		if err != nil {
 			b.Fatal(err)

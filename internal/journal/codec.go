@@ -281,6 +281,29 @@ func decodeRecord(line []byte, i int, scratch *[]byte) (Record, error) {
 	return rec, nil
 }
 
+// decodeLines decodes data's record lines where they lie, numbered from
+// 0, and hands each record to add with its line's start and end in
+// data. It returns len(data), or the start of the first line that does
+// not decode or has no newline, with that line's error.
+func decodeLines(data []byte, add func(rec Record, start, end int)) (int, error) {
+	var scratch []byte
+	start := 0
+	for i := 0; start < len(data); i++ {
+		nl := bytes.IndexByte(data[start:], '\n')
+		if nl < 0 {
+			return start, fmt.Errorf("journal: record %d is not newline-terminated", i)
+		}
+		end := start + nl + 1
+		rec, err := decodeRecord(data[start:end], i, &scratch)
+		if err != nil {
+			return start, err
+		}
+		add(rec, start, end)
+		start = end
+	}
+	return start, nil
+}
+
 // chainHash computes rec's hash after prevHex: SHA-256 over the raw
 // previous digest followed by rec's payload, both built in *buf, which
 // it reuses.

@@ -24,7 +24,6 @@
 package journal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -198,18 +197,8 @@ func DecodeRecords(r io.Reader) ([]Record, error) {
 		return nil, fmt.Errorf("journal: reading records: %w", err)
 	}
 	var recs []Record
-	var scratch []byte
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			return nil, fmt.Errorf("journal: record %d is not newline-terminated", len(recs))
-		}
-		rec, err := decodeRecord(data[:nl+1], len(recs), &scratch)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-		data = data[nl+1:]
+	if _, err := decodeLines(data, func(rec Record, _, _ int) { recs = append(recs, rec) }); err != nil {
+		return nil, err
 	}
 	return recs, nil
 }

@@ -374,8 +374,8 @@ func TestFileStoreDurabilityAndRecovery(t *testing.T) {
 
 // faultyLog is a log file that fails on demand: the next WriteAt after
 // a "short" or "enospc" fault writes part of its bytes and fails, the
-// next Sync after an "fsync" fault fails, and Truncate fails while
-// truncErr is set.
+// next Sync after an "fsync" fault fails, the next ReadAt after a
+// "read" fault fails, and Truncate fails while truncErr is set.
 type faultyLog struct {
 	*os.File
 	fault    string
@@ -405,6 +405,14 @@ func (f *faultyLog) Sync() error {
 		return syscall.EIO
 	}
 	return f.File.Sync()
+}
+
+func (f *faultyLog) ReadAt(p []byte, off int64) (int, error) {
+	if f.fault == "read" {
+		f.fault = ""
+		return 0, syscall.EIO
+	}
+	return f.File.ReadAt(p, off)
 }
 
 func (f *faultyLog) Truncate(size int64) error {

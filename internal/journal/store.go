@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -75,14 +76,6 @@ func (s *MemStore) Append(session string, recs []Record) error {
 	if err := checkOwnership(session, recs); err != nil {
 		return err
 	}
-	s.add(session, recs)
-	return nil
-}
-
-// add files recs at the end of session's records, applying retention,
-// without checking that they belong to it: Append checks first, and
-// FileStore's index takes only what its own log holds.
-func (s *MemStore) add(session string, recs []Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.sessions[session]; !ok {
@@ -108,6 +101,7 @@ func (s *MemStore) add(session string, recs []Record) {
 			}
 		}
 	}
+	return nil
 }
 
 // Read implements Store.
@@ -129,10 +123,15 @@ func (s *MemStore) Read(session string) ([]Record, error) {
 func (s *MemStore) Sessions() ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, len(s.ids))
-	copy(out, s.ids)
+	return sortedIDs(s.ids), nil
+}
+
+// sortedIDs returns a sorted copy of a store's session ids.
+func sortedIDs(ids []string) []string {
+	out := make([]string, len(ids))
+	copy(out, ids)
 	sort.Strings(out)
-	return out, nil
+	return out
 }
 
 // Close implements Store.
@@ -140,31 +139,43 @@ func (s *MemStore) Close() error { return nil }
 
 // FileStore is the crash-safe single-file Store: every session's
 // records interleave in one NDJSON append log, one write at the log's
-// end + fsync per Append. Opening the store replays the file into an
-// in-memory per-session mirror; a torn final line (the classic crash
-// artifact of an append in flight) is truncated away, while corruption
-// anywhere before it is an error — bytes the store once acknowledged
-// must never silently disappear. A failed append is truncated away at
-// once, so the next session's records never land behind a torn line.
+// end + fsync per Append. It holds no records in memory, only where each
+// session's lines lie in the log, as byte ranges; Read reads those
+// ranges back and decodes them as the boot replay does. Opening the
+// store replays the file to rebuild the ranges; a torn final line (the
+// classic crash artifact of an append in flight) is truncated away,
+// while corruption anywhere before it is an error — bytes the store once
+// acknowledged must never silently disappear. A failed append is
+// truncated away at once, so the next session's records never land
+// behind a torn line.
 type FileStore struct {
 	mu sync.Mutex
 	f  logFile
 	// size is the log's length: every acknowledged record, nothing
-	// else. Appends write at size, and a failed one is cut back to it.
+	// else. Appends write at size, and a failed one is cut back to it,
+	// so no acknowledged byte ever moves.
 	size int64
 	// stuck is set when a failed append could not be cut back: the log
 	// may end in bytes nobody acknowledged, so nothing may follow them.
 	stuck error
-	// index holds every acknowledged record and serves Read and
-	// Sessions. Its lock nests inside mu, never the reverse. It keeps
-	// every session: retention is off.
-	index *MemStore
+	// ranges holds each session's lines in the log as byte ranges in
+	// append order, adjacent ranges merged; ids lists the sessions in
+	// first-append order.
+	ranges map[string][]byteRange
+	ids    []string
 }
+
+// byteRange is n bytes of the log from off: whole lines of one session.
+type byteRange struct{ off, n int64 }
+
+// errClosed reports a call on a closed FileStore.
+var errClosed = errors.New("journal: store is closed")
 
 // logFile is what FileStore calls on its log file; *os.File is the
 // implementation, and tests substitute one that fails on demand.
 type logFile interface {
-	io.Reader // the replay at open
+	io.Reader   // the replay at open
+	io.ReaderAt // Read
 	io.WriterAt
 	Sync() error
 	Truncate(size int64) error
@@ -178,7 +189,7 @@ func OpenFileStore(path string) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: opening store: %w", err)
 	}
-	st := &FileStore{f: f, index: NewMemStore()}
+	st := &FileStore{f: f}
 	if err := st.load(); err != nil {
 		// Nothing has been written through this descriptor; the load
 		// error is the one the caller needs.
@@ -189,10 +200,10 @@ func OpenFileStore(path string) (*FileStore, error) {
 	return st, nil
 }
 
-// load replays the log into the session mirror, truncating a torn
+// load replays the log into the session index, truncating a torn
 // trailing line and rejecting interior corruption. It reads the log in
 // one call, into a buffer sized from the file, and decodes every line
-// where it lies.
+// where it lies, keeping only its range.
 func (s *FileStore) load() error {
 	var buf bytes.Buffer
 	if f, ok := s.f.(*os.File); ok {
@@ -204,22 +215,13 @@ func (s *FileStore) load() error {
 		return fmt.Errorf("journal: reading store: %w", err)
 	}
 	data := buf.Bytes()
-	var scratch []byte
-	keep := 0
-	for keep < len(data) {
-		nl := bytes.IndexByte(data[keep:], '\n')
-		if nl < 0 {
-			break // torn trailing write: no newline ever made it to disk
-		}
-		rec, err := decodeRecord(data[keep:keep+nl+1], 0, &scratch)
-		if err != nil {
-			if keep+nl+1 == len(data) {
-				break // torn trailing write: partial JSON with a newline
-			}
-			return fmt.Errorf("journal: store corrupted at byte %d: %v", keep, err)
-		}
-		s.index.add(rec.Session, []Record{rec})
-		keep += nl + 1
+	keep, err := decodeLines(data, func(rec Record, start, end int) {
+		s.note(rec.Session, int64(start), int64(end-start))
+	})
+	// A torn trailing write is a last line with no newline, or with
+	// partial JSON before one; a line that fails before it is corruption.
+	if nl := bytes.IndexByte(data[keep:], '\n'); err != nil && nl >= 0 && keep+nl+1 < len(data) {
+		return corruptAt(int64(keep), err)
 	}
 	if keep != len(data) {
 		if err := s.f.Truncate(int64(keep)); err != nil {
@@ -228,6 +230,28 @@ func (s *FileStore) load() error {
 	}
 	s.size = int64(keep)
 	return nil
+}
+
+// corruptAt reports the log line at byte off that does not decode.
+func corruptAt(off int64, err error) error {
+	return fmt.Errorf("journal: store corrupted at byte %d: %v", off, err)
+}
+
+// note files the log's n bytes from off, whole lines of session, as the
+// session's next range, merged into its last one where they adjoin.
+func (s *FileStore) note(session string, off, n int64) {
+	if s.ranges == nil {
+		s.ranges = map[string][]byteRange{}
+	}
+	rs, ok := s.ranges[session]
+	if !ok {
+		s.ids = append(s.ids, session)
+	}
+	if k := len(rs) - 1; k >= 0 && safemath.SatAdd(rs[k].off, rs[k].n) == off {
+		rs[k].n = safemath.SatAdd(rs[k].n, n)
+	} else {
+		s.ranges[session] = append(rs, byteRange{off, n})
+	}
 }
 
 // appendBufs holds the buffers Append encodes into.
@@ -255,7 +279,7 @@ func (s *FileStore) Append(session string, recs []Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
-		return errors.New("journal: store is closed")
+		return errClosed
 	}
 	if s.stuck != nil {
 		return fmt.Errorf("journal: store refuses appends after a failed one could not be cut back: %w", s.stuck)
@@ -266,8 +290,8 @@ func (s *FileStore) Append(session string, recs []Record) error {
 	if err := s.f.Sync(); err != nil {
 		return s.cutBack(fmt.Errorf("journal: syncing: %w", err))
 	}
+	s.note(session, s.size, int64(len(b)))
 	s.size = safemath.SatAdd(s.size, int64(len(b)))
-	s.index.add(session, recs)
 	return nil
 }
 
@@ -283,11 +307,40 @@ func (s *FileStore) cutBack(err error) error {
 	return err
 }
 
-// Read implements Store.
-func (s *FileStore) Read(session string) ([]Record, error) { return s.index.Read(session) }
+// Read implements Store. It copies the session's ranges under the lock
+// and reads and decodes them outside it: appends only add bytes past
+// every range, and a cut-back only removes bytes past them.
+func (s *FileStore) Read(session string) ([]Record, error) {
+	s.mu.Lock()
+	f, ranges := s.f, slices.Clone(s.ranges[session])
+	s.mu.Unlock()
+	if f == nil {
+		return nil, errClosed
+	}
+	if len(ranges) == 0 {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownSession, session)
+	}
+	var recs []Record
+	var buf []byte
+	for _, r := range ranges {
+		buf = slices.Grow(buf[:0], int(r.n))[:r.n]
+		if n, err := f.ReadAt(buf, r.off); n < len(buf) {
+			return nil, fmt.Errorf("journal: reading session %s at byte %d: %w", session, r.off, err)
+		}
+		n, err := decodeLines(buf, func(rec Record, _, _ int) { recs = append(recs, rec) })
+		if err != nil {
+			return nil, corruptAt(safemath.SatAdd(r.off, int64(n)), err)
+		}
+	}
+	return recs, nil
+}
 
 // Sessions implements Store.
-func (s *FileStore) Sessions() ([]string, error) { return s.index.Sessions() }
+func (s *FileStore) Sessions() ([]string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return sortedIDs(s.ids), nil
+}
 
 // Close implements Store.
 func (s *FileStore) Close() error {

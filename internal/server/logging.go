@@ -5,6 +5,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"repro/internal/wirejson"
 )
 
 // logEntry is one structured request-log line: every served request and
@@ -46,6 +48,7 @@ type requestLog struct {
 	mu  sync.Mutex
 	w   io.Writer
 	enc *json.Encoder
+	buf []byte // appendEntry's line, reused
 }
 
 // newRequestLog returns a logger writing to w, or nil when w is nil.
@@ -58,13 +61,57 @@ func newRequestLog(w io.Writer) *requestLog {
 	return &requestLog{w: w, enc: enc}
 }
 
-// log writes one entry, stamping the timestamp; safe on a nil receiver.
+// log writes one entry, stamping the timestamp, in one Write; safe on a
+// nil receiver. appendEntry writes the line, and the Encoder the entries
+// it declines.
 func (l *requestLog) log(e logEntry) {
 	if l == nil {
 		return
 	}
-	e.TS = time.Now().UTC().Format(time.RFC3339Nano)
+	now := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_ = l.enc.Encode(e)
+	b, ok := appendEntry(l.buf[:0], now, &e)
+	if !ok {
+		e.TS = now.UTC().Format(time.RFC3339Nano)
+		_ = l.enc.Encode(e)
+		return
+	}
+	l.buf = b
+	_, _ = l.w.Write(b)
+}
+
+// appendEntry appends e's line, stamped ts, as an Encoder with
+// SetEscapeHTML(false) writes it. It reports false, with b as it was,
+// for an entry with phases or with a string that is not wirejson.Plain,
+// whose bytes are encoding/json's to spell.
+func appendEntry(b []byte, ts time.Time, e *logEntry) ([]byte, bool) {
+	if len(e.PhaseNS) > 0 || !wirejson.Plain(e.Kind) || !wirejson.Plain(e.Session) ||
+		!wirejson.Plain(e.Outcome) || !wirejson.Plain(e.Algorithm) || !wirejson.Plain(e.Error) {
+		return b, false
+	}
+	b = ts.UTC().AppendFormat(append(b, `{"ts":"`...), time.RFC3339Nano)
+	b = appendQuoted(b, `","kind":"`, e.Kind)
+	if e.Session != "" {
+		b = appendQuoted(b, `,"session":"`, e.Session)
+	}
+	b = appendNonZero(b, `,"seq":`, int64(e.Seq))
+	b = appendQuoted(b, `,"outcome":"`, e.Outcome)
+	b = appendNonZero(b, `,"duration_ns":`, e.DurationNS)
+	b = appendNonZero(b, `,"size":`, int64(e.Size))
+	if e.Algorithm != "" {
+		b = appendQuoted(b, `,"algorithm":"`, e.Algorithm)
+	}
+	if e.Error != "" {
+		b = appendQuoted(b, `,"error":"`, e.Error)
+	}
+	return append(b, "}\n"...), true
+}
+
+// appendQuoted appends key, which ends in an opening quote, the plain
+// string s and the closing quote.
+func appendQuoted(b []byte, key, s string) []byte {
+	b = append(b, key...)
+	b = append(b, s...)
+	return append(b, '"')
 }
