@@ -350,13 +350,35 @@ func FindBestConsecutive(in job.Instance) (Schedule, error) {
 // i's machines are renumbered onto a range disjoint from components
 // 0..i−1, and the combined run is reported as "components:" plus the
 // sorted distinct component algorithm names. subs[i] and names[i] must
-// be the schedule and algorithm name obtained on comps[i].
+// be the schedule and algorithm name obtained on comps[i]. It finds the
+// components' jobs in the instance by ID, into one array sliced per
+// component, then merges as MergeComponentsAt.
 func MergeComponents(in job.Instance, comps []job.Instance, subs []Schedule, names []string) (Schedule, string) {
-	s := NewSchedule(in)
 	posByID := make(map[int]int, len(in.Jobs))
 	for i, j := range in.Jobs {
 		posByID[j.ID] = i
 	}
+	total := 0
+	for _, c := range comps {
+		total += len(c.Jobs)
+	}
+	all := make([]int, 0, total)
+	positions := make([][]int, len(comps))
+	for ci, c := range comps {
+		lo := len(all)
+		for _, j := range c.Jobs {
+			all = append(all, posByID[j.ID])
+		}
+		positions[ci] = all[lo:len(all):len(all)]
+	}
+	return MergeComponentsAt(in, positions, subs, names)
+}
+
+// MergeComponentsAt is MergeComponents for a caller that holds the
+// positions igraph.SplitComponentsByStart returns: positions[i][k] is
+// the position in in of component i's job k.
+func MergeComponentsAt(in job.Instance, positions [][]int, subs []Schedule, names []string) (Schedule, string) {
+	s := NewSchedule(in)
 	machineBase := 0
 	distinct := map[string]bool{}
 	for ci, sub := range subs {
@@ -366,7 +388,7 @@ func MergeComponents(in job.Instance, comps []job.Instance, subs []Schedule, nam
 			if m == Unscheduled {
 				continue
 			}
-			s.Assign(posByID[comps[ci].Jobs[k].ID], machineBase+m)
+			s.Assign(positions[ci][k], machineBase+m)
 			if m > maxM {
 				maxM = m
 			}

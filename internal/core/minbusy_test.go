@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	busytime "repro"
@@ -272,6 +274,28 @@ func TestSolverMinBusyComponents(t *testing.T) {
 	}
 	if name != "components:find-best-consecutive" {
 		t.Errorf("dispatch = %q", name)
+	}
+}
+
+// MergeComponents, which finds the components' jobs by ID, merges as
+// MergeComponentsAt does through the positions the split returns, on
+// instances whose IDs are not their positions.
+func TestMergeComponentsMatchesAt(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		in := workload.General(seed, workload.Config{N: 200, G: 3, MaxTime: 3000, MaxLen: 30})
+		rand.New(rand.NewSource(seed)).Shuffle(len(in.Jobs), func(a, b int) { in.Jobs[a], in.Jobs[b] = in.Jobs[b], in.Jobs[a] })
+		comps, _, positions := igraph.SplitComponentsByStart(in, job.ByStart(in.Jobs))
+		subs := make([]Schedule, len(comps))
+		names := make([]string, len(comps))
+		for i, c := range comps {
+			subs[i], names[i] = FirstFit(c), []string{"first-fit", "naive"}[i%2]
+		}
+		want, wantName := MergeComponents(in, comps, subs, names)
+		got, gotName := MergeComponentsAt(in, positions, subs, names)
+		if !slices.Equal(got.Machine, want.Machine) || gotName != wantName {
+			t.Fatalf("seed %d: MergeComponentsAt gives %q %v, MergeComponents %q %v", seed, gotName, got.Machine, wantName, want.Machine)
+		}
+		mustValid(t, got, true)
 	}
 }
 

@@ -86,13 +86,15 @@ func (g *Graph) OverlapWeight(i, j int) int64 {
 // its jobs in increasing position. MinBusy decomposes over components
 // (Section 2), so solvers split instances along this partition.
 func SplitComponents(in job.Instance) []job.Instance {
-	comps, _ := SplitComponentsByStart(in, job.ByStart(in.Jobs))
+	comps, _, _ := SplitComponentsByStart(in, job.ByStart(in.Jobs))
 	return comps
 }
 
 // SplitComponentsByStart is SplitComponents for a caller that holds
 // ByStart(in.Jobs). It also returns each component's ByStart order, in
-// the component's own positions, so no component needs a sort.
+// the component's own positions, so no component needs a sort, and the
+// positions in in of each component's jobs, in increasing order, so a
+// merge of per-component schedules needs no lookup by ID.
 //
 // No edges are needed. Sorted by start, the jobs of one component form a
 // run in which every start falls before the largest end seen so far, so
@@ -102,8 +104,8 @@ func SplitComponents(in job.Instance) []job.Instance {
 // opens a new component, so [0,10) and [10,20) stay apart. Jobs must be
 // non-empty, as Instance.Validate requires. The sub-instances' job
 // slices are disjoint, capacity-capped blocks of one array, and so are
-// the orders.
-func SplitComponentsByStart(in job.Instance, order []int) (comps []job.Instance, orders [][]int) {
+// the orders and the positions.
+func SplitComponentsByStart(in job.Instance, order []int) (comps []job.Instance, orders, positions [][]int) {
 	jobs := in.Jobs
 
 	// run[p] is the index, in start order, of the run holding position p.
@@ -123,7 +125,7 @@ func SplitComponentsByStart(in job.Instance, order []int) (comps []job.Instance,
 	// Each run gets a block of one shared slice, claimed when its
 	// smallest position comes up; filling the blocks in position order
 	// keeps every component's jobs in increasing position. The orders
-	// take the same blocks of a second slice.
+	// and the positions take the same blocks of two more slices.
 	size := make([]int, runs)
 	for _, r := range run {
 		size[r]++
@@ -136,18 +138,21 @@ func SplitComponentsByStart(in job.Instance, order []int) (comps []job.Instance,
 	local := make([]int, len(jobs)) // p's position in its component
 	all := make([]job.Job, len(jobs))
 	ords := make([]int, len(jobs))
+	pos := make([]int, len(jobs))
 	comps = make([]job.Instance, 0, runs)
 	orders = make([][]int, 0, runs)
+	positions = make([][]int, 0, runs)
 	claimed := 0
 	for p, r := range run {
 		if base[r] < 0 {
 			lo, hi := claimed, claimed+size[r]
 			comps = append(comps, job.Instance{Jobs: all[lo:hi:hi], G: in.G})
 			orders = append(orders, ords[lo:hi:hi])
+			positions = append(positions, pos[lo:hi:hi])
 			base[r], next[r], claimed = lo, lo, hi
 		}
 		local[p] = next[r] - base[r]
-		all[next[r]] = jobs[p]
+		all[next[r]], pos[next[r]] = jobs[p], p
 		next[r]++
 	}
 	// A component's order is its run's segment of the start order, in
@@ -159,7 +164,7 @@ func SplitComponentsByStart(in job.Instance, order []int) (comps []job.Instance,
 		ords[next[r]] = local[p]
 		next[r]++
 	}
-	return comps, orders
+	return comps, orders, positions
 }
 
 // IsClique reports whether the jobs form a clique set: some time is common

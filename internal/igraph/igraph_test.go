@@ -214,17 +214,26 @@ func FuzzSplitComponents(f *testing.F) {
 }
 
 // checkComponentOrders checks that SplitComponentsByStart returns
-// SplitComponents' pieces, each with its own ByStart order, and that
-// classifying a piece over that order agrees with Classify.
+// SplitComponents' pieces, each with its own ByStart order and the
+// increasing positions in the instance of its jobs, and that classifying
+// a piece over that order agrees with Classify.
 func checkComponentOrders(t *testing.T, in job.Instance) {
 	t.Helper()
-	comps, orders := SplitComponentsByStart(in, job.ByStart(in.Jobs))
-	if !equalSplits(comps, SplitComponents(in)) || len(orders) != len(comps) {
-		t.Fatalf("jobs %v: SplitComponentsByStart gives %d pieces and %d orders, SplitComponents %v", in.Jobs, len(comps), len(orders), SplitComponents(in))
+	comps, orders, positions := SplitComponentsByStart(in, job.ByStart(in.Jobs))
+	if !equalSplits(comps, SplitComponents(in)) || len(orders) != len(comps) || len(positions) != len(comps) {
+		t.Fatalf("jobs %v: SplitComponentsByStart gives %d pieces, %d orders and %d position lists, SplitComponents %v", in.Jobs, len(comps), len(orders), len(positions), SplitComponents(in))
 	}
 	for i, c := range comps {
 		if want := job.ByStart(c.Jobs); !slices.Equal(orders[i], want) {
 			t.Fatalf("jobs %v: component %d order %v, ByStart %v", in.Jobs, i, orders[i], want)
+		}
+		if len(positions[i]) != len(c.Jobs) || !slices.IsSorted(positions[i]) {
+			t.Fatalf("jobs %v: component %d positions %v", in.Jobs, i, positions[i])
+		}
+		for k, p := range positions[i] {
+			if in.Jobs[p] != c.Jobs[k] {
+				t.Fatalf("jobs %v: component %d job %d is %v, position %d holds %v", in.Jobs, i, k, c.Jobs[k], p, in.Jobs[p])
+			}
 		}
 		if got, want := ClassifyByStart(c.Jobs, orders[i]), Classify(c.Jobs); got != want {
 			t.Fatalf("jobs %v: component %d ClassifyByStart %v, Classify %v", in.Jobs, i, got, want)

@@ -2,13 +2,14 @@
 // O(log n) insertion and O(log n) overlap queries against half-open
 // intervals whose members are pairwise non-overlapping.
 //
-// It is the data structure behind core.FirstFit: each machine thread
-// holds pairwise non-overlapping jobs, so "does job J overlap anything on
-// this thread?" reduces to a predecessor/successor check in a balanced
-// search tree keyed by start time. A plain job list would scan the whole
-// thread (O(thread length) per check); this brings a thread check to
-// O(log n) and the whole algorithm to O(n·m·g·log n) worst case with much
-// better constants in practice.
+// It is the data structure behind the threads of an online.Machine:
+// each thread holds pairwise non-overlapping jobs, so "does job J
+// overlap anything on this thread?" reduces to a predecessor/successor
+// check in a balanced search tree keyed by start time, O(log n) where a
+// plain job list would scan the whole thread. An online machine takes
+// its jobs one arrival at a time and must answer between them, so it
+// keeps a structure per thread; core.FirstFit sees its whole instance
+// up front and indexes it once instead.
 //
 // The implementation is a classic treap (randomized BST) with a
 // deterministic xorshift priority stream, so behavior is reproducible.

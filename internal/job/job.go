@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/interval"
@@ -223,19 +224,76 @@ func SpanByStart(jobs []Job, order []int) int64 {
 }
 
 // ByLenDesc returns the positions of jobs by non-increasing length, then
-// position: the order in which the paper's FirstFit places jobs. Like
-// compareByStart, its comparator compares positions only on equal
-// lengths.
+// position: the order in which the paper's FirstFit places jobs. An
+// interval longer than math.MaxInt64 has a wrapped, negative Len, so it
+// comes last.
+//
+// It is a stable LSD radix sort of (lenDescKey, position) pairs, one
+// counting pass per byte in which the lengths differ, so lengths below
+// 2^8 take one pass and below 2^16 at most two. Equal lengths, a single
+// job among them, take none and allocate only the result. The last pass
+// writes the positions straight into the result, so a sort of one pass
+// allocates only the pairs besides.
 func ByLenDesc(jobs []Job) []int {
-	order := positions(len(jobs))
-	slices.SortFunc(order, func(a, b int) int {
-		if la, lb := jobs[a].Len(), jobs[b].Len(); la != lb {
-			return cmp.Compare(lb, la)
+	var differ uint64 // the bits in which some length, so its key, differs from the first
+	for _, j := range jobs {
+		differ |= uint64(j.Len() ^ jobs[0].Len())
+	}
+	if differ == 0 {
+		return positions(len(jobs))
+	}
+	n := len(jobs)
+	order := make([]int, n)
+	cur := make([]keyedPos, n)
+	for i := range jobs {
+		cur[i] = keyedPos{lenDescKey(jobs[i].Len()), i}
+	}
+	var next []keyedPos
+	last := (bits.Len64(differ) - 1) / 8 * 8 // the shift of the highest differing byte
+	for shift := 0; shift <= last; shift += 8 {
+		if byte(differ>>shift) == 0 {
+			continue
 		}
-		return cmp.Compare(a, b)
-	})
+		var at [256]int // each digit's count, then its next slot
+		for _, e := range cur {
+			at[byte(e.key>>shift)]++
+		}
+		sum := 0
+		for d, c := range at {
+			at[d] = sum
+			sum += c
+		}
+		if shift == last {
+			for _, e := range cur {
+				d := byte(e.key >> shift)
+				order[at[d]] = e.pos
+				at[d]++
+			}
+			break
+		}
+		if next == nil {
+			next = make([]keyedPos, n)
+		}
+		for _, e := range cur {
+			d := byte(e.key >> shift)
+			next[at[d]] = e
+			at[d]++
+		}
+		cur, next = next, cur
+	}
 	return order
 }
+
+// keyedPos is a job's position and its sort key.
+type keyedPos struct {
+	key uint64
+	pos int
+}
+
+// lenDescKey maps a length to a key whose unsigned order is the lengths'
+// non-increasing signed order: the sign flip makes the order unsigned,
+// and the complement reverses it.
+func lenDescKey(l int64) uint64 { return uint64(l) ^ math.MaxInt64 }
 
 // positions returns 0, 1, ..., n-1.
 func positions(n int) []int {

@@ -62,6 +62,35 @@ func TestOrdersMatchStableSorts(t *testing.T) {
 			}
 		}
 	}
+
+	// ByLenDesc's radix sort also meets long runs of ties, lengths whose
+	// keys differ in every byte, the wrapped negative Len of intervals
+	// longer than math.MaxInt64, and empty jobs, at job counts from 1 to
+	// 3,000.
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 3, 10, 24, 40, 255, 256, 257, 3000} {
+		for trial := 0; trial < 20; trial++ {
+			jobs := make([]job.Job, n)
+			for i := range jobs {
+				s := r.Int63n(1000)
+				iv := interval.Interval{Start: s, End: s + 1 + r.Int63n(200)}
+				switch r.Intn(5) {
+				case 0:
+					iv.End = s + []int64{1, 7, 300}[r.Intn(3)]
+				case 1:
+					iv = interval.Interval{Start: -s, End: -s + r.Int63()}
+				case 2:
+					iv = interval.Interval{Start: -1<<62 - r.Int63n(1<<62), End: 1<<62 + r.Int63n(1<<62)}
+				case 3:
+					iv.End = s - r.Int63n(2)
+				}
+				jobs[i] = job.Job{ID: i, Interval: iv, Weight: 1, Demand: 1}
+			}
+			if got, want := job.ByLenDesc(jobs), refByLenDesc(jobs); !slices.Equal(got, want) {
+				t.Fatalf("n=%d trial %d: ByLenDesc = %v, want %v", n, trial, got, want)
+			}
+		}
+	}
 }
 
 // shuffled returns a generated instance with its jobs in random order,

@@ -21,9 +21,9 @@
 // and the replay of its instance are one computation. Strategies are pure
 // placement policies over the currently-open machines.
 //
-// Machine threads are backed by interval treaps (internal/itree), the same
-// structure behind core.FirstFit, so a fit check against an open
-// machine costs O(g log n).
+// Machine threads are backed by interval treaps (internal/itree), so a
+// fit check against an open machine costs O(g log n). The treap is only
+// here: offline, core.FirstFit indexes its whole instance once instead.
 package online
 
 import (

@@ -21,7 +21,7 @@ func (naive) Pick(open []*Machine, j job.Job) (int, int64) { return -1, 0 }
 // FirstFit returns the online FirstFit strategy: each arriving job goes to
 // the lowest-numbered open machine it fits on, else a fresh machine. It is
 // the arrival-order counterpart of core.FirstFit, and its fit checks ride
-// the same interval treaps. On adversarial streams it pays
+// the machines' interval treaps. On adversarial streams it pays
 // Ω(g)·OPT (see workload.AdversarialFirstFit), but on stochastic arrivals
 // it tracks the offline cost closely.
 func FirstFit() Strategy { return firstFit{} }

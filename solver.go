@@ -725,7 +725,7 @@ func (s *Solver) solveMinBusy(ctx context.Context, in Instance, class Class, ord
 		return sch, "exact", err
 	}
 
-	comps, orders := igraph.SplitComponentsByStart(in, order)
+	comps, orders, positions := igraph.SplitComponentsByStart(in, order)
 	if len(comps) <= 1 {
 		return runMinBusyChain(ctx, in, class)
 	}
@@ -752,7 +752,7 @@ func (s *Solver) solveMinBusy(ctx context.Context, in Instance, class Class, ord
 		}
 		subs[i], names[i] = r.sch, r.name
 	}
-	merged, name := core.MergeComponents(in, comps, subs, names)
+	merged, name := core.MergeComponentsAt(in, positions, subs, names)
 	return merged, name, nil
 }
 
