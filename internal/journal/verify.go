@@ -49,9 +49,9 @@ func SessionFor(p OpenParams) (*online.Session, string, error) {
 type ReplayState struct {
 	// Params are the open record's session parameters.
 	Params OpenParams
-	// Session is the rebuilt live session (nil only if Closed — a closed
-	// session cannot accept further arrivals, but its state is the
-	// summary anyway).
+	// Session is the rebuilt session, never nil. When Closed it has
+	// replayed every arrival but must accept no further ones
+	// (ResumeWriter refuses a closed session); its state is the Summary.
 	Session *online.Session
 	// Records is the validated journal, open record first.
 	Records []Record

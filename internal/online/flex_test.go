@@ -1,7 +1,11 @@
 package online
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/interval"
@@ -75,6 +79,55 @@ func TestFlexReplayProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// flexGolden renders the 200 flexible replays TestFlexGolden pins, one
+// line each: the committed starts, the machine array and the summary.
+// StartAligned delays jobs into open busy periods, so these are the runs
+// where a thread takes a job ahead of its last one.
+func flexGolden(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	for seed := int64(1); seed <= 10; seed++ {
+		flex := randomFlex(seed, 40, 200, 30)
+		for _, g := range []int{2, 3} {
+			for _, pol := range []StartPolicy{StartASAP(), StartAligned()} {
+				for _, st := range []Strategy{Naive(), FirstFit(), Buckets(), BestFit(), Budgeted(400)} {
+					res, err := FlexReplay(g, flex, pol, st)
+					if err != nil {
+						t.Fatalf("seed %d g %d %s+%s: %v", seed, g, pol.Name(), st.Name(), err)
+					}
+					starts := make([]int64, len(flex))
+					for p, j := range res.Schedule.Instance.Jobs {
+						starts[p] = j.Start()
+					}
+					fmt.Fprintf(&b, "seed=%d g=%d starts=%v machines=%v %+v\n", seed, g, starts, res.Schedule.Machine, res.Summary)
+				}
+			}
+		}
+	}
+	return b.String()
+}
+
+// TestFlexGolden pins every placement of the flexible replays in
+// flexGolden against testdata/flex.golden, byte for byte. There is no
+// update flag: regenerate the file only for a deliberate change.
+func TestFlexGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "flex.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := flexGolden(t)
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range gl {
+		if i >= len(wl) || gl[i] != wl[i] {
+			t.Fatalf("flex.golden line %d:\ngot:  %s\nwant: %s", i+1, gl[i], wl[min(i, len(wl)-1)])
+		}
+	}
+	t.Fatalf("flex.golden: got %d lines, want %d", len(gl), len(wl))
 }
 
 func TestStartASAPMatchesRigidReplay(t *testing.T) {

@@ -21,17 +21,20 @@
 // and the replay of its instance are one computation. Strategies are pure
 // placement policies over the currently-open machines.
 //
-// Machine threads are backed by interval treaps (internal/itree), so a
-// fit check against an open machine costs O(g log n). The treap is only
-// here: offline, core.FirstFit indexes its whole instance once instead.
+// Each machine thread is a slice of its jobs in start order, so a fit
+// check against an open machine is one binary search per thread,
+// O(g log n). A rigid arrival starts no earlier than any job already
+// placed and lands at the end of its thread; a flexible job may commit
+// to a start ahead of a thread's last job.
 package online
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/interval"
-	"repro/internal/itree"
 	"repro/internal/job"
 	"repro/internal/safemath"
 )
@@ -40,10 +43,13 @@ import (
 // pairwise non-overlapping jobs, plus busy-period bookkeeping. Strategies
 // read machines; only the harness mutates them.
 type Machine struct {
-	id      int
-	tag     int64
-	g       int
-	threads []*itree.Set
+	id  int
+	tag int64
+	g   int
+	// threads holds each thread's jobs in start order, threads in the
+	// order they opened. A thread keeps the jobs the clock has passed:
+	// dropping them would change Fits for probes that start before it.
+	threads [][]interval.Interval
 	busy    interval.Interval // hull of all placed jobs
 	jobs    int
 }
@@ -68,13 +74,28 @@ func (m *Machine) BusyEnd() int64 { return m.busy.End }
 
 // Fits reports whether iv can be placed on the machine: some thread has no
 // overlapping job, or a fresh thread is still available under capacity g.
+// An empty interval overlaps nothing, so it always fits.
 func (m *Machine) Fits(iv interval.Interval) bool {
+	if iv.Empty() || len(m.threads) < m.g {
+		return true
+	}
 	for _, th := range m.threads {
-		if !th.Overlaps(iv) {
+		if _, ok := slot(th, iv); ok {
 			return true
 		}
 	}
-	return len(m.threads) < m.g
+	return false
+}
+
+// slot returns the position of the first job on th that ends after the
+// non-empty iv starts, and whether iv overlaps no job on th. The jobs of
+// a thread are disjoint and in start order, so their ends are in order
+// too: every job before the position ends by iv.Start, and iv fits there
+// exactly when the job at the position, if any, starts at or after
+// iv.End.
+func slot(th []interval.Interval, iv interval.Interval) (int, bool) {
+	i := sort.Search(len(th), func(k int) bool { return th[k].End > iv.Start })
+	return i, i == len(th) || th[i].Start >= iv.End
 }
 
 // MarginalCost returns the busy time placing iv on the machine would add:
@@ -87,19 +108,20 @@ func (m *Machine) MarginalCost(iv interval.Interval) int64 {
 	return safemath.SatSub(m.busy.Hull(iv).Len(), m.busy.Len())
 }
 
-// add places iv on the first accepting thread, opening a new thread when
-// permitted. It reports whether the placement succeeded.
+// add places the non-empty iv on the first thread, in opening order, that
+// it fits, or on a new thread while the machine has fewer than g, and
+// reports whether it did. Any fitting thread gives a valid schedule, but
+// in a flexible replay another choice would change which later jobs fit.
 func (m *Machine) add(iv interval.Interval) bool {
-	for _, th := range m.threads {
-		if th.Insert(iv) {
+	for t, th := range m.threads {
+		if i, ok := slot(th, iv); ok {
+			m.threads[t] = slices.Insert(th, i, iv)
 			m.extend(iv)
 			return true
 		}
 	}
 	if len(m.threads) < m.g {
-		th := &itree.Set{}
-		th.Insert(iv)
-		m.threads = append(m.threads, th)
+		m.threads = append(m.threads, []interval.Interval{iv})
 		m.extend(iv)
 		return true
 	}

@@ -113,9 +113,12 @@ type Summary struct {
 
 // Session is an incremental online run: arrivals are offered one at a
 // time, each returning its placement event with live telemetry. It backs
-// the daemon's streaming endpoint and Replay; the hot path allocates
-// only when a machine opens, and the session retains no per-job state
-// beyond the open machines.
+// the daemon's streaming endpoint and Replay. The session retains no
+// per-job state beyond the open machines, which keep every job placed on
+// them until they close, and an arrival allocates only to grow that
+// state: opening a machine (the Machine, its thread list and its first
+// thread), opening a thread, appending to a thread whose slice is full,
+// or growing the list of open machines.
 //
 // A Session is not safe for concurrent use; the streaming server drives
 // one per connection.

@@ -23,8 +23,8 @@ var latencyBounds = []float64{
 }
 
 // stageLatencyBounds bucket the per-arrival stream stages, which sit
-// well under the solve-latency range: a single placement is a treap probe
-// over the open machines, not a whole instance solve.
+// well under the solve-latency range: a single placement is one binary
+// search per thread of the open machines, not a whole instance solve.
 var stageLatencyBounds = []float64{
 	0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.1,

@@ -22,9 +22,11 @@ import (
 // family with the registry's Kind strings ("min-busy", "max-throughput",
 // "min-busy-2d", "online"); empty defaults to min-busy, and a non-nil
 // rect instance implies min-busy-2d. Exactly one of Instance and Rect
-// must be set. TimeoutMS bounds this request's solve wall-clock; the
-// server derives a per-request deadline from it, so one slow request in
-// a batch fails alone instead of stalling its siblings.
+// must be set. TimeoutMS sets busytime.Request.Timeout, a per-request
+// deadline. The request fails alone when the deadline passes while it
+// waits in its batch or between auto dispatch's fallback attempts, but
+// an algorithm that takes no ctx does not see it: that solve runs to
+// the end and returns its schedule.
 type Request struct {
 	Kind      string        `json:"kind,omitempty"`
 	Instance  *job.Instance `json:"instance,omitempty"`

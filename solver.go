@@ -77,10 +77,14 @@ type Request struct {
 	// Budget is the busy-time budget for KindMaxThroughput. When zero,
 	// the Solver-level WithBudget value applies.
 	Budget int64
-	// Timeout, when positive, bounds this request's wall-clock solve
-	// time: Solve derives a per-request deadline from the caller's ctx,
-	// so one slow request in a SolveBatch cannot hold its worker beyond
-	// its own budget. Zero means no per-request deadline.
+	// Timeout, when positive, gives this request a deadline derived
+	// from the caller's ctx. Solve checks it before dispatch and between
+	// auto dispatch's fallback attempts, and SolveBatch fails a request
+	// whose deadline passed while it waited for a worker. Inside an
+	// algorithm only the ctx-aware ones stop at it: the exact oracles,
+	// clique-matching and clique-set-cover. Any other algorithm runs to
+	// the end, holding its worker past the deadline, and its schedule
+	// comes back with no error. Zero means no per-request deadline.
 	Timeout time.Duration
 	// BaseID names a prior Result (its Result.ID) to warm-start from:
 	// the solver keeps the incumbent assignment for jobs shared with the
@@ -379,8 +383,9 @@ func WithReoptimization(capacity int) SolverOption {
 
 // Solve executes one Request. It is context-cancellable: long exact and
 // oracle runs check ctx at safe points, and auto dispatch stops between
-// fallback attempts once ctx fires. A positive Request.Timeout
-// additionally bounds this call with its own deadline.
+// fallback attempts once ctx fires. A positive Request.Timeout adds its
+// own deadline to ctx, which stops the call only where ctx is checked:
+// an algorithm that takes no ctx runs to the end (see Request.Timeout).
 func (s *Solver) Solve(ctx context.Context, req Request) (Result, error) {
 	if req.Timeout > 0 {
 		var cancel context.CancelFunc
